@@ -11,20 +11,20 @@ are orthogonal to *how* they execute.  A
 * ``"fast"`` — :class:`FastBackend`: a dict-based functional executor
   that skips warp-level simulation.  Orders of magnitude faster; use
   it for correctness runs, large inputs and development loops.
-* ``"parallel"`` — :class:`ParallelBackend`: the fast executor
-  sharded across a ``multiprocessing`` pool with per-shard partial
-  combining and a key-range-partitioned Reduce.  ``"parallel:N"``
-  pins the worker count; plain ``"parallel"`` honours
-  ``$REPRO_WORKERS`` and defaults to the CPU count.
+* ``"parallel"`` — :class:`ParallelBackend`: the sharded executor
+  (:mod:`repro.backend.sharded`) over a ``fork`` process pool, with
+  per-shard partial combining and a key-range-partitioned Reduce.
+  ``"parallel:N"`` pins the worker count; plain ``"parallel"``
+  honours ``$REPRO_WORKERS`` and defaults to the CPU count.
 * ``"columnar"`` — :class:`ColumnarBackend`: the fast executor pinned
   to the vectorized columnar path (batched numpy Map/Shuffle/Reduce
   via each workload's ``map_batch``/``reduce_batch`` kernels, scalar
   fallback otherwise).  Equivalent to ``FastBackend(columnar=True)``
   or ``$REPRO_COLUMNAR=1``.
-* ``"dist"`` — :class:`DistributedBackend`: the fast executor run as
-  a coordinator over socket-connected worker processes, with
-  GFS-style map splits, worker-death re-execution, speculative
-  straggler duplicates, and scriptable fault injection
+* ``"dist"`` — :class:`DistributedBackend`: the same sharded
+  executor over socket-connected worker processes driven by a
+  coordinator, with GFS-style map splits, worker-death re-execution,
+  speculative straggler duplicates, and scriptable fault injection
   (:class:`repro.dist.FaultPlan`).  ``"dist:N"`` pins the worker
   count, like ``"parallel:N"``.
 

@@ -6,7 +6,7 @@ upload, Map, Shuffle, Reduce, and charged output download — plus the
 uncharged host/device conversions the streamed driver needs between
 its batched Map and the Shuffle.
 
-Three implementations ship:
+Five implementations ship:
 
 * :class:`repro.backend.sim.SimBackend` — the cycle-accurate
   discrete-event simulator (the paper's numbers).  Intermediate
@@ -16,11 +16,15 @@ Three implementations ship:
   executor that skips warp-level simulation entirely.  Handles are
   plain host :class:`~repro.framework.records.KeyValueSet` objects;
   only the host<->device transfer model is costed.
-* :class:`repro.backend.parallel.ParallelBackend` — the fast
-  executor sharded across a ``multiprocessing`` worker pool, with a
-  per-shard partial combine and a key-range-partitioned Reduce.
-  Handles are host record sets or the backend's private shard
-  summaries.
+* :class:`~repro.backend.fast.ColumnarBackend` — the fast executor
+  pinned to its vectorized columnar path.
+* :class:`repro.backend.parallel.ParallelBackend` and
+  :class:`repro.backend.distributed.DistributedBackend` — the two
+  transports of the one sharded executor
+  (:class:`repro.backend.sharded.ShardedBackend`): the fast
+  executor's phases cut into tasks run by a fork pool or by socket
+  workers.  Handles are host record sets or the executor's private
+  shard summaries.
 
 Handles are deliberately opaque to the core: it only ever passes them
 back into the same backend.
@@ -29,17 +33,38 @@ back into the same backend.
 from __future__ import annotations
 
 import abc
+import os
 from typing import Any
 
+from ..errors import FrameworkError
 from ..framework.records import KeyValueSet
 from ..gpu.stats import KernelStats
 from .plan import JobPlan
 
 
+def env_positive_int(name: str, default: int) -> int:
+    """``$name`` as an integer >= 1, or ``default`` when unset/empty
+    (the shape of every integer knob the backends read)."""
+    raw = os.environ.get(name)
+    if not raw:
+        return default
+    try:
+        n = int(raw)
+    except ValueError:
+        raise FrameworkError(
+            f"${name} must be an integer, got {raw!r}"
+        ) from None
+    if n < 1:
+        # A zero/negative value is a configuration mistake, not a
+        # request to clamp.
+        raise FrameworkError(f"${name} must be >= 1, got {raw!r}")
+    return n
+
+
 class ExecutionBackend(abc.ABC):
     """Phase primitives one execution substrate must provide."""
 
-    #: Registry name ("sim", "fast").
+    #: Registry name ("sim", "fast", ...).
     name: str = "?"
 
     # -- lifecycle -----------------------------------------------------
@@ -60,7 +85,7 @@ class ExecutionBackend(abc.ABC):
 
         Called exactly once by the execution core when the job finishes
         (normally or with an error).  The default is a no-op; backends
-        owning OS resources (the parallel backend's worker pool)
+        owning OS resources (the sharded backends' worker processes)
         override it.
         """
 
@@ -148,5 +173,5 @@ class ExecutionBackend(abc.ABC):
         """Per-shard :class:`~repro.obs.telemetry.ShardProfile` list
         collected during the job, or None when this backend has no
         cross-process workers to profile (the default: only the
-        parallel backend ships work to other processes)."""
+        sharded backends ship work to other processes)."""
         return None

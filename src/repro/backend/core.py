@@ -52,8 +52,8 @@ def _apply_check(backend: ExecutionBackend, ctx, tr, result: JobResult) -> None:
 def _apply_telemetry(backend: ExecutionBackend, ctx, result: JobResult) -> None:
     """Harvest cross-process worker profiles (if any) into the result.
 
-    The parallel backend banks one :class:`~repro.obs.telemetry.
-    ShardProfile` per shard per sharded phase; the straggler summary
+    The sharded backends bank one :class:`~repro.obs.telemetry.
+    ShardProfile` per task per sharded phase; the straggler summary
     is derived here so every caller sees it on ``JobResult``.
     """
     profiles = backend.finish_telemetry(ctx)

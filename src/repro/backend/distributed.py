@@ -1,77 +1,46 @@
-"""Distributed execution backend: coordinator + socket workers.
+"""``dist:N`` — the sharded executor over socket-connected workers.
 
-Runs the fast-backend phase logic across worker *processes connected
-by sockets* — the MapReduce master/worker shape, scaled down to one
-host so the whole fault-tolerance story is testable in CI:
+The cluster transport of :class:`~repro.backend.sharded.ShardedBackend`
+(see there for the phase pipeline and what the two transports share):
+a :class:`~repro.dist.Cluster` coordinator driving worker *processes
+connected by localhost sockets* — the MapReduce master/worker shape,
+scaled down to one host so the whole fault-tolerance story is testable
+in CI.  What this transport decides:
 
-* **Map** — the input is cut into M tasks by a GFS-style byte split
-  (:data:`DEFAULT_SPLIT_BYTES` per task, ``$REPRO_SPLIT_BYTES`` to
+* **task sizing** — Map input is cut GFS-style into M tasks of at most
+  :data:`DEFAULT_SPLIT_BYTES` input bytes (``$REPRO_SPLIT_BYTES`` to
   override), deliberately finer than the worker count so scheduling,
-  re-execution and speculation have real granularity to work with.
-* **Shuffle** — runs in the coordinator, delegating to the fast
-  backend's store-based group-by (split outputs are concatenated in
-  split order first, so group order matches a single-process run).
-* **Reduce** — the sorted group list is partitioned into
-  R = workers x 2 contiguous key ranges dispatched like map tasks;
-  outputs concatenate in range order.
-
-Workers ship **plain pairs** — unlike the parallel backend there is
-no per-shard partial combine, so output is *byte-identical* to
-:class:`~repro.backend.fast.FastBackend` for every workload,
-including floating-point BR folds.  That identity is the invariant
-the whole fault story hangs on: a worker can die mid-task, the shard
-re-runs elsewhere, a straggler gets speculatively duplicated, and the
-coordinator's first-result-wins dedupe (per ``(phase, shard)``)
-guarantees the retried run's bytes equal the faultless run's bytes.
-The differential suite and the chaos fuzzer assert exactly that.
+  re-execution and speculation have real granularity; an eager Reduce
+  is cut into R = workers x :data:`REDUCES_PER_WORKER` key ranges.
+* **no partial combine** — workers ship plain pairs, so output is
+  *byte-identical* to :class:`~repro.backend.fast.FastBackend` for
+  every workload, including floating-point BR folds.  That identity
+  is the invariant the fault story hangs on: a worker can die
+  mid-task, the task re-runs elsewhere, a straggler gets speculatively
+  duplicated, and the coordinator's first-result-wins dedupe (per
+  ``(phase, shard)``) guarantees the retried run's bytes equal the
+  faultless run's bytes.  The differential suite and the chaos fuzzer
+  assert exactly that.
+* **when to cluster** — at least ``min_records`` records (socket
+  round-trips on a 50-record job cost far more than the job).
 
 Fault tolerance, speculation and the scriptable
-:class:`~repro.dist.faults.FaultPlan` live in :mod:`repro.dist`; this
-module adapts them to the :class:`ExecutionBackend` protocol — split
-sizing, handle plumbing, spill-store wiring, ShardProfile telemetry,
-and the ``close()`` contract that reaps every worker process and
-socket on every exit path (including a raising kernel).
-
-Like the parallel backend, tiny inputs (below ``min_records``) skip
-the cluster and run in-process — socket round-trips on a 50-record
-job cost far more than the job.  Timing semantics match the fast
-backend: transfers are model-costed, kernel cycles read as zero.
+:class:`~repro.dist.faults.FaultPlan` live in :mod:`repro.dist`.
+:meth:`close` reaps every worker process and socket on every exit
+path, including a raising kernel, and keeps the cluster's scheduling
+log in :attr:`DistributedBackend.last_events` /
+:attr:`~DistributedBackend.last_counters`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import shutil
-import tempfile
-import time
 from typing import Any
 
 from ..dist import Cluster, FaultPlan
 from ..errors import FrameworkError
-from ..framework.host import shard_slices
-from ..framework.records import KeyValueSet
-from ..gpu.stats import KernelStats
-from ..obs.telemetry import ShardProfile
-from ..store import (
-    DEFAULT_BUDGET,
-    IntermediateStore,
-    StoreStats,
-    merge_runs,
-    record_cost,
-    resolve_budget,
-    resolve_spill_root,
-)
-from .base import ExecutionBackend
-from .fast import FastBackend, FastContext, StoreGroups
-from .parallel import (
-    DEFAULT_MIN_RECORDS,
-    _MapOutput,
-    _SpilledRuns,
-    _spill_active,
-    default_workers,
-)
-from .plan import JobPlan
+from ..store import record_cost
+from .base import env_positive_int
+from .sharded import ShardedBackend
 
 #: GFS-style split size: map tasks are cut at this many input bytes
 #: (key + value + per-record overhead), so M tracks data volume, not
@@ -85,9 +54,9 @@ SPLIT_BYTES_ENV = "REPRO_SPLIT_BYTES"
 #: Reduce tasks per worker (R = workers x this).
 REDUCES_PER_WORKER = 2
 
-#: Groups per reduce task when the grouped intermediate is a lazy
-#: spill-merge stream (consumed in contiguous chunks).
-STREAM_REDUCE_BATCH = 1024
+#: Per-phase scheduler counters surfaced as ``dist_<name>`` deltas.
+_FAULT_COUNTERS = ("retries", "speculated", "duplicates", "worker_deaths",
+                   "respawns")
 
 
 def resolve_split_bytes(split_bytes: int | None = None) -> int:
@@ -96,53 +65,10 @@ def resolve_split_bytes(split_bytes: int | None = None) -> int:
         if split_bytes < 1:
             raise FrameworkError("split_bytes must be >= 1")
         return split_bytes
-    raw = os.environ.get(SPLIT_BYTES_ENV)
-    if not raw:
-        return DEFAULT_SPLIT_BYTES
-    try:
-        n = int(raw)
-    except ValueError:
-        raise FrameworkError(
-            f"${SPLIT_BYTES_ENV} must be an integer, got {raw!r}"
-        ) from None
-    if n < 1:
-        raise FrameworkError(f"${SPLIT_BYTES_ENV} must be >= 1, got {raw!r}")
-    return n
+    return env_positive_int(SPLIT_BYTES_ENV, DEFAULT_SPLIT_BYTES)
 
 
-class DistContext:
-    """Per-job state: the inner fast context plus the worker cluster."""
-
-    __slots__ = ("fast", "workers", "min_records", "cluster", "profiles",
-                 "spill_dirs")
-
-    def __init__(self, fast: FastContext, workers: int, min_records: int):
-        self.fast = fast
-        self.workers = workers
-        self.min_records = min_records
-        #: The socket-worker cluster, created on first real use.
-        self.cluster: Cluster | None = None
-        #: Accepted-result shard profiles, in phase order.
-        self.profiles: list[ShardProfile] = []
-        #: Coordinator-owned spill directories (workers write run files
-        #: into them); removed wholesale in :meth:`close`, which also
-        #: sweeps any partial runs a killed attempt left behind.
-        self.spill_dirs: list[str] = []
-
-    @property
-    def plan(self) -> JobPlan:
-        return self.fast.plan
-
-    @plan.setter
-    def plan(self, plan: JobPlan) -> None:
-        self.fast.plan = plan
-
-    @property
-    def config(self):
-        return self.fast.config
-
-
-class DistributedBackend(ExecutionBackend):
+class DistributedBackend(ShardedBackend):
     """Coordinator/worker execution over localhost sockets, with
     retry, speculation and scriptable fault injection."""
 
@@ -155,11 +81,7 @@ class DistributedBackend(ExecutionBackend):
                  split_bytes: int | None = None,
                  straggler_factor: float | None = None,
                  min_straggle_s: float | None = None):
-        if workers is not None and workers < 1:
-            raise FrameworkError("workers must be >= 1")
-        self.workers = workers if workers is not None else default_workers()
-        self.min_records = (DEFAULT_MIN_RECORDS if min_records is None
-                            else max(0, min_records))
+        super().__init__(workers, min_records)
         self.fault_plan = fault_plan or FaultPlan.none()
         self.deterministic = deterministic
         self.split_bytes = resolve_split_bytes(split_bytes)
@@ -170,100 +92,27 @@ class DistributedBackend(ExecutionBackend):
         self.last_events: list = []
         #: Scheduler counters of the most recently closed job.
         self.last_counters: dict[str, int] = {}
-        # Pinned scalar inner executor, like the parallel backend.
-        self._fast = FastBackend(columnar=False)
 
-    # -- lifecycle -----------------------------------------------------
+    def _big_enough(self, n_records: int) -> bool:
+        return n_records >= self.min_records
 
-    def open(self, plan: JobPlan) -> DistContext:
-        return DistContext(
-            fast=self._fast.open(plan),
-            workers=self.workers,
-            min_records=self.min_records,
-        )
+    def _start(self, plan) -> Cluster:
+        kwargs: dict[str, Any] = {}
+        if self.straggler_factor is not None:
+            kwargs["straggler_factor"] = self.straggler_factor
+        if self.min_straggle_s is not None:
+            kwargs["min_straggle_s"] = self.min_straggle_s
+        cluster = Cluster(self.workers, self.fault_plan,
+                          deterministic=self.deterministic, **kwargs)
+        cluster.start(plan.spec, plan.strategy, plan.is_mars)
+        return cluster
 
-    def close(self, ctx: DistContext) -> None:
-        """Tear down the job: reap the cluster (workers + sockets) on
-        every exit path, then release stores and spill directories."""
-        cluster, ctx.cluster = ctx.cluster, None
-        if cluster is not None:
-            self.last_events = list(cluster.events)
-            self.last_counters = dict(cluster.counters)
-            cluster.shutdown()
-        self._fast.close(ctx.fast)
-        dirs, ctx.spill_dirs = ctx.spill_dirs, []
-        for d in dirs:
-            shutil.rmtree(d, ignore_errors=True)
+    def _stop(self, cluster: Cluster) -> None:
+        self.last_events = list(cluster.events)
+        self.last_counters = dict(cluster.counters)
+        cluster.shutdown()
 
-    def resolve_auto(self, ctx, plan, inp):
-        return self._fast.resolve_auto(ctx.fast, plan, inp)
-
-    # -- cluster management --------------------------------------------
-
-    def _cluster_for(self, ctx: DistContext, n_records: int
-                     ) -> Cluster | None:
-        """The job's cluster, started on first use — or None when the
-        input is too small or the platform cannot fork."""
-        if n_records < ctx.min_records:
-            return ctx.cluster  # may exist from an earlier, larger batch
-        if ctx.cluster is None:
-            if "fork" not in multiprocessing.get_all_start_methods():
-                return None
-            plan = ctx.plan
-            kwargs: dict[str, Any] = {}
-            if self.straggler_factor is not None:
-                kwargs["straggler_factor"] = self.straggler_factor
-            if self.min_straggle_s is not None:
-                kwargs["min_straggle_s"] = self.min_straggle_s
-            cluster = Cluster(ctx.workers, self.fault_plan,
-                              deterministic=self.deterministic, **kwargs)
-            cluster.start(plan.spec, plan.strategy, plan.is_mars)
-            ctx.cluster = cluster
-        return ctx.cluster
-
-    # -- transfers and conversions (delegate to fast) -------------------
-
-    def upload_input(self, ctx, kvs, label):
-        return self._fast.upload_input(ctx.fast, kvs, label)
-
-    def download_output(self, ctx, handle):
-        return self._fast.download_output(ctx.fast, self._as_kvs(handle))
-
-    def to_host(self, ctx, handle):
-        return self._as_kvs(handle)
-
-    def stage_intermediate(self, ctx, kvs, label):
-        return kvs
-
-    def record_count(self, ctx, handle) -> int:
-        if isinstance(handle, (_MapOutput, _SpilledRuns)):
-            return handle.emit_count
-        return len(handle)
-
-    def stream_sink(self, ctx):
-        return self._fast.stream_sink(ctx.fast)
-
-    def absorb_batch(self, ctx, sink, handle) -> None:
-        if isinstance(sink, IntermediateStore):
-            sink.emit_many(self.to_host(ctx, handle))
-        else:
-            super().absorb_batch(ctx, sink, handle)
-
-    @staticmethod
-    def _as_kvs(handle) -> KeyValueSet:
-        if isinstance(handle, KeyValueSet):
-            return handle
-        if isinstance(handle, _MapOutput):
-            if handle.pairs is None:
-                raise FrameworkError(
-                    "combined intermediate cannot be read back as records"
-                )
-            return handle.pairs
-        raise FrameworkError(f"not a host-readable handle: {type(handle)!r}")
-
-    # -- split sizing ---------------------------------------------------
-
-    def _split_slices(self, d_in: KeyValueSet) -> list[tuple[int, int]]:
+    def _split_slices(self, d_in):
         """Contiguous map splits of at most ``split_bytes`` input bytes
         each (always >= 1 record per split, >= 1 split)."""
         n = len(d_in)
@@ -284,220 +133,24 @@ class DistributedBackend(ExecutionBackend):
         slices.append((lo, n))
         return slices
 
-    def _spill_config(self, ctx, *, batch) -> tuple[str, int] | None:
-        """Worker spill settings for one distributed Map, or None.
-        Same contract as the parallel backend: single-shot jobs with a
-        Reduce tail under the spill store; budget split across
-        workers."""
-        plan = ctx.plan
-        if batch is not None or plan.strategy is None \
-                or not _spill_active(plan):
-            return None
-        run_dir = tempfile.mkdtemp(
-            prefix="repro-dist-spill-", dir=resolve_spill_root()
-        )
-        ctx.spill_dirs.append(run_dir)
-        budget = resolve_budget(plan.memory_budget) or DEFAULT_BUDGET
-        return run_dir, max(1, budget // ctx.workers)
+    def _reduce_ranges(self) -> int:
+        return self.workers * REDUCES_PER_WORKER
 
-    # -- phases ---------------------------------------------------------
+    def _snapshot(self, ctx) -> dict[str, int]:
+        return dict(ctx.executor.counters)
 
-    def map_phase(self, ctx, d_in, tr, *, batch=None):
-        cluster = self._cluster_for(ctx, len(d_in))
-        if cluster is None:
-            return self._fast.map_phase(ctx.fast, d_in, tr, batch=batch)
+    def _run(self, ctx, phase, tasks) -> list[dict]:
+        done = ctx.executor.run_phase(phase, tasks)
+        return [done[shard] for shard in range(len(done))]
 
-        spill = self._spill_config(ctx, batch=batch)
-        slices = self._split_slices(d_in)
-        keys, vals = d_in.keys, d_in.values
-        tasks = []
-        for shard, (lo, hi) in enumerate(slices):
-            payload: dict[str, Any] = {
-                "pairs": list(zip(keys[lo:hi], vals[lo:hi]))
-            }
-            if spill is not None:
-                payload["spill"] = list(spill)
-            tasks.append((shard, payload))
-
-        before = dict(cluster.counters)
-        results = cluster.run_phase("map", tasks)
-        self._record_profiles(ctx, tr, results, len(slices), "map")
-
-        if spill is not None:
-            run_lists = [results[s]["spilled"]["runs"]
-                         for s in range(len(slices))]
-            docs = [results[s]["spilled"] for s in range(len(slices))]
-            emit_count = sum(d["emitted"] for d in docs)
-            handle: Any = _SpilledRuns(
-                run_lists=run_lists,
-                emit_count=emit_count,
-                peak_bytes=sum(d["peak_bytes"] for d in docs),
-                spill_runs=sum(len(r) for r in run_lists),
-                spilled_bytes=sum(d["spilled_bytes"] for d in docs),
-            )
-        else:
-            out = KeyValueSet()
-            append = out.append_unchecked
-            for s in range(len(slices)):  # split order = input order
-                for k, v in results[s]["pairs"]:
-                    append(k, v)
-            emit_count = len(out)
-            handle = _MapOutput(pairs=out, combined=None,
-                                emit_count=emit_count)
-        stats = self._phase_stats(ctx, cluster, before,
-                                  records_in=len(d_in),
-                                  records_out=emit_count,
-                                  tasks=len(slices))
-        attrs = {"batch": batch} if batch is not None else {}
-        tr.kernel("map_kernel", stats, **attrs)
-        return handle, stats
-
-    def shuffle_phase(self, ctx, inter, tr, label):
-        if isinstance(inter, _SpilledRuns):
-            with tr.span("shuffle_exec", records=inter.emit_count) as sp:
-                if sp is not None:
-                    sp.attrs["spill_runs"] = inter.stats.spill_runs
-                    sp.attrs["spilled_bytes"] = inter.stats.spilled_bytes
-                inter.stats.merge_fan_in = sum(
-                    len(runs) for runs in inter.run_lists
-                )
-            grouped = StoreGroups(merge_runs(inter.run_lists), inter.stats)
-            return grouped, 0.0, None
-        if isinstance(inter, IntermediateStore):
-            return self._fast.shuffle_phase(ctx.fast, inter, tr, label)
-        return self._fast.shuffle_phase(ctx.fast, self._as_kvs(inter), tr,
-                                        label)
-
-    def reduce_phase(self, ctx, grouped, tr, *, include_grid=True):
-        cluster = ctx.cluster
-        if cluster is None:
-            # The map ran in-process (tiny input / no fork): finish the
-            # job the same way.
-            return self._fast.reduce_phase(ctx.fast, grouped, tr,
-                                           include_grid=include_grid)
-        # Same legality checks as every other backend's reduce.
-        plan = ctx.plan
-        spec = plan.spec
-        from ..framework.modes import ReduceStrategy, effective_reduce_mode
-        if plan.is_mars and spec.reduce_record is None:
-            raise FrameworkError(f"{spec.name}: Mars reduce needs a TR "
-                                 "reduce fn")
-        if not plan.is_mars:
-            effective_reduce_mode(plan.reduce_mode, plan.strategy)
-            if (plan.strategy is ReduceStrategy.TR
-                    and spec.reduce_record is None):
-                raise FrameworkError(
-                    f"workload {spec.name} has no TR reduce function"
-                )
-
-        lazy = isinstance(grouped, StoreGroups)
-        n_groups = n_values = 0
-        if lazy:
-            # A merge stream has unknown length: cut it into contiguous
-            # fixed-size chunks (chunk order = sorted key order) that
-            # the cluster pulls one at a time as workers come free, so
-            # the grouped intermediate is materialised per in-flight
-            # task, never per job — the out-of-core store stays
-            # out-of-core end to end.  Group/value totals are read back
-            # from the accepted task profiles afterwards.
-            def chunked():
-                shard = 0
-                chunk: list = []
-                for key, values in grouped:
-                    chunk.append([key, list(values)])
-                    if len(chunk) >= STREAM_REDUCE_BATCH:
-                        yield shard, {"groups": chunk}
-                        shard += 1
-                        chunk = []
-                if chunk:
-                    yield shard, {"groups": chunk}
-
-            tasks: Any = chunked()
-        else:
-            groups = (grouped.groups if hasattr(grouped, "groups")
-                      else grouped)
-            n_groups = len(groups)
-            n_values = sum(len(values) for _, values in groups)
-            n_ranges = max(1, min(n_groups,
-                                  ctx.workers * REDUCES_PER_WORKER))
-            tasks = [
-                (shard, {"groups": [[k, list(vs)]
-                                    for k, vs in groups[lo:hi]]})
-                for shard, (lo, hi) in enumerate(
-                    shard_slices(n_groups, n_ranges))
-            ]
-
-        before = dict(cluster.counters)
-        results = cluster.run_phase("reduce", tasks)
-        n_tasks = len(results)
-        self._record_profiles(ctx, tr, results, n_tasks, "reduce")
-        if lazy:
-            n_groups = sum(r["profile"]["distinct_keys"]
-                           for r in results.values())
-            n_values = sum(r["profile"]["records_in"]
-                           for r in results.values())
-
-        out = KeyValueSet()
-        append = out.append_unchecked
-        for s in range(n_tasks):  # range order = sorted key order
-            for k, v in results[s]["pairs"]:
-                append(k, v)
-        stats = self._phase_stats(ctx, cluster, before,
-                                  records_in=n_values,
-                                  records_out=len(out), tasks=n_tasks)
-        if n_tasks:
-            stats.count("dist_groups", n_groups)
-            if lazy and grouped.stats is not None:
-                for name, v in grouped.stats.as_extra().items():
-                    stats.count(name, v)
-        tr.kernel("reduce_kernel", stats)
-        return out, stats
-
-    # -- telemetry ------------------------------------------------------
-
-    def _record_profiles(self, ctx: DistContext, tr, results: dict,
-                         n: int, phase: str) -> None:
-        """Convert accepted results' profile docs into ShardProfiles
-        and merge them into the tracer as worker tracks."""
-        for shard in range(n):
-            doc = results[shard].get("profile")
-            if not doc:
-                continue
-            p = ShardProfile(
-                phase=phase, shard=shard, pid=doc["pid"],
-                start_ns=doc["start_ns"], end_ns=doc["end_ns"],
-                records_in=doc["records_in"],
-                records_out=doc["records_out"],
-                distinct_keys=doc.get("distinct_keys", 0),
-                spill_runs=doc.get("spill_runs", 0),
-                spilled_bytes=doc.get("spilled_bytes", 0),
-            )
-            ctx.profiles.append(p)
-            tr.worker_span(
-                p.shard, f"{p.phase}_shard", p.start_ns, p.end_ns,
-                pid=p.pid, records_in=p.records_in,
-                records_out=p.records_out, distinct_keys=p.distinct_keys,
-                spill_runs=p.spill_runs if p.spill_runs else None,
-                spilled_bytes=p.spilled_bytes if p.spill_runs else None,
-            )
-
-    def finish_telemetry(self, ctx: DistContext):
-        return ctx.profiles or None
-
-    @staticmethod
-    def _phase_stats(ctx, cluster: Cluster, before: dict[str, int], *,
-                     records_in: int, records_out: int,
-                     tasks: int) -> KernelStats:
-        """Zero cycles (functional backend), throughput counters, the
-        task-grid shape, and this phase's fault-recovery activity."""
-        stats = KernelStats(threads_per_block=ctx.plan.threads_per_block)
-        stats.count("fast_records_in", records_in)
-        stats.count("fast_records_out", records_out)
-        stats.count("dist_tasks", tasks)
+    def _count(self, stats, ctx, n_tasks, before, groups=None) -> None:
+        """Task-grid shape plus this phase's fault-recovery activity."""
+        cluster = ctx.executor
+        stats.count("dist_tasks", n_tasks)
         stats.count("dist_workers", cluster.workers)
-        for key in ("retries", "speculated", "duplicates",
-                    "worker_deaths", "respawns"):
+        for key in _FAULT_COUNTERS:
             delta = cluster.counters[key] - before.get(key, 0)
             if delta:
                 stats.count(f"dist_{key}", delta)
-        return stats
+        if groups is not None and n_tasks:
+            stats.count("dist_groups", groups)

@@ -35,9 +35,9 @@ from functools import reduce as _fold
 from ..errors import FrameworkError
 from ..framework.columns import ColumnBatch, GroupedColumns
 from ..framework.host import host_download_cost, host_upload_cost
-from ..framework.modes import ReduceStrategy, effective_reduce_mode
-from ..framework.records import KeyValueSet
-from ..gpu.accessor import Accessor, AccessTrace
+from ..framework.modes import ReduceStrategy
+from ..framework.records import KeyValueSet, checked_emit
+from ..gpu.accessor import Accessor, host_accessor as _accessor
 from ..gpu.config import DeviceConfig
 from ..gpu.stats import KernelStats
 from ..store import (
@@ -47,7 +47,7 @@ from ..store import (
     open_store,
     resolve_store_name,
 )
-from .base import ExecutionBackend
+from .base import ExecutionBackend, env_positive_int
 from .plan import JobPlan
 
 #: Environment variable turning the columnar path on process-wide
@@ -67,40 +67,6 @@ def columnar_env_enabled() -> bool:
     return os.environ.get(COLUMNAR_ENV, "").strip().lower() in (
         "1", "true", "yes", "on"
     )
-
-
-def _batch_records() -> int:
-    raw = os.environ.get(COLUMNAR_BATCH_ENV)
-    if not raw:
-        return DEFAULT_BATCH_RECORDS
-    try:
-        n = int(raw)
-    except ValueError:
-        raise FrameworkError(
-            f"${COLUMNAR_BATCH_ENV} must be an integer, got {raw!r}"
-        ) from None
-    if n < 1:
-        raise FrameworkError(
-            f"${COLUMNAR_BATCH_ENV} must be >= 1, got {raw!r}"
-        )
-    return n
-
-
-class _NullTrace(AccessTrace):
-    """An access trace that records nothing (shared by all accessors)."""
-
-    __slots__ = ()
-
-    def touch(self, start: int, nbytes: int) -> None:
-        return
-
-
-#: One shared no-op trace: accessors built on it never allocate lists.
-NULL_TRACE = _NullTrace()
-
-
-def _accessor(data: bytes) -> Accessor:
-    return Accessor(data, NULL_TRACE)
 
 
 @dataclass
@@ -179,7 +145,8 @@ class FastBackend(ExecutionBackend):
             plan=plan,
             config=cfg or DeviceConfig.gtx280(),
             columnar=self._columnar_enabled(plan),
-            batch_records=_batch_records(),
+            batch_records=env_positive_int(COLUMNAR_BATCH_ENV,
+                                           DEFAULT_BATCH_RECORDS),
         )
 
     def close(self, ctx) -> None:
@@ -234,7 +201,7 @@ class FastBackend(ExecutionBackend):
             return self._map_phase_columnar(ctx, d_in, tr)
         spec = ctx.plan.spec
         out = KeyValueSet()
-        emit = _emit_into(out)
+        emit = checked_emit(out.append_unchecked)
         const = _accessor(spec.const_bytes) if spec.const_bytes else None
         map_record = spec.map_record
         # Host-execution sub-span: zero sim cycles by design, but under
@@ -280,7 +247,7 @@ class FastBackend(ExecutionBackend):
                         )
                 if res is None:
                     part = KeyValueSet()
-                    emit = _emit_into(part)
+                    emit = checked_emit(part.append_unchecked)
                     for i in range(lo, hi):
                         map_record(_accessor(keys[i]), _accessor(vals[i]),
                                    emit, const)
@@ -358,22 +325,11 @@ class FastBackend(ExecutionBackend):
 
     def reduce_phase(self, ctx, grouped, tr, *, include_grid=True):
         plan = ctx.plan
+        plan.check_reduce()
         spec = plan.spec
         strategy = plan.strategy
-        if plan.is_mars and spec.reduce_record is None:
-            raise FrameworkError(
-                f"{spec.name}: Mars reduce needs a TR reduce fn"
-            )
-        if not plan.is_mars:
-            # Same legality checks as the sim's reduce engine (BR x GT
-            # is rejected; TR without a reduce fn is rejected).
-            effective_reduce_mode(plan.reduce_mode, strategy)
-            if strategy is ReduceStrategy.TR and spec.reduce_record is None:
-                raise FrameworkError(
-                    f"workload {spec.name} has no TR reduce function"
-                )
         out = KeyValueSet()
-        emit = _emit_into(out)
+        emit = checked_emit(out.append_unchecked)
         const = _accessor(spec.const_bytes) if spec.const_bytes else None
         lazy = isinstance(grouped, StoreGroups)
         columnar = isinstance(grouped, GroupedColumns)
@@ -474,21 +430,6 @@ class ColumnarBackend(FastBackend):
 
     def __init__(self):
         super().__init__(columnar=True)
-
-
-def _emit_into(out: KeyValueSet):
-    fast_append = out.append_unchecked
-    checked_append = out.append
-
-    def emit(k: bytes, v: bytes) -> None:
-        if type(k) is bytes and type(v) is bytes:
-            fast_append(k, v)
-        else:
-            # bytearray/memoryview emits: validate and copy like the
-            # simulator's collector does.
-            checked_append(k, v)
-
-    return emit
 
 
 def _phase_stats(ctx, *, records_in: int, records_out: int) -> KernelStats:

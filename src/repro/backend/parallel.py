@@ -1,756 +1,97 @@
-"""Sharded multi-process execution backend.
+"""``parallel:N`` — the sharded executor over a ``fork`` process pool.
 
-Runs the :class:`~repro.backend.fast.FastBackend` phase logic across a
-``multiprocessing`` worker pool, mirroring the sharded many-core
-MapReduce designs in the related work (Lu et al.'s Xeon Phi runtime):
+The pool transport of :class:`~repro.backend.sharded.ShardedBackend`
+(see there for the phase pipeline and what the two transports
+share).  What this transport decides:
 
-* **Map** — the input is split into contiguous, balanced shards
-  (:func:`repro.framework.host.shard_slices`); each worker maps its
-  shard independently.  For block-level (BR) reductions the worker
-  also runs a **per-shard partial combine**: because ``spec.combine``
-  is associative by contract, each shard collapses its emissions to
-  one ``(accumulator, count)`` per distinct key before anything
-  crosses the process boundary — the same traffic-shrinking trick the
-  paper applies to its slow memory tier.
-* **Shuffle** — the coordinator merges the per-shard results (plain
-  pairs, or partial accumulators in shard order) and groups by key,
-  sorted by key bytes exactly like the fast backend and the device's
-  sort-based shuffle.
-* **Reduce** — the sorted group list is partitioned into contiguous
-  key ranges, one per worker; each worker reduces its range and the
-  coordinator concatenates the outputs in range order.
+* **executor** — a ``multiprocessing`` ``fork`` ``Pool``; each worker
+  receives the job ``(spec, strategy, is_mars)`` through the pool
+  initializer, by memory inheritance, so user Map/Reduce functions —
+  test closures included — never need pickling.  Only task payloads
+  and results travel through the pool's queues.
+* **task sizing** — Map input is cut into ``workers`` contiguous,
+  balanced shards (:func:`repro.framework.host.shard_slices`), and an
+  eager Reduce into ``workers`` key ranges.
+* **partial combine** — on: for block-level (BR) reductions each
+  shard collapses its emissions to one ``(accumulator, count)`` per
+  distinct key before anything crosses the process boundary, the same
+  traffic-shrinking trick the paper applies to its slow memory tier.
+* **when to pool** — only with at least 2 workers and at least
+  ``max(min_records, workers)`` records; smaller phases run in-process.
 
-Because shards are contiguous, per-key value lists preserve emission
-order and the merged output preserves group order, so the output is
-**record-identical to the fast backend** (and therefore to the
-simulator up to the usual order normalisation).  Floating-point BR
-combines are the one caveat: partial combining regroups the fold, so
-float accumulators can differ in the last bit — exactly the tolerance
-the cross-backend differential suite already applies.
-
-Workers are forked (``multiprocessing`` ``fork`` context), so user
-Map/Reduce functions — including test closures — reach the pool
-without pickling; only shard data and results cross the process
-boundary.  Tiny inputs skip the pool entirely and execute in-process
-(pool dispatch overhead would dominate); platforms without ``fork``
-degrade the same way.  Timing semantics match the fast backend:
-transfers are model-costed, kernel cycles read as zero.
+There is no fault tolerance: a worker exception fails the job (it is
+re-raised in the caller), and :meth:`close` reaps the pool on every
+exit path.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
-import shutil
-import tempfile
-import time
-from functools import reduce as _fold
-from itertools import islice
 from typing import Any
 
-from ..errors import FrameworkError
-from ..framework.host import host_download_cost, shard_slices
-from ..framework.modes import ReduceStrategy, effective_reduce_mode
-from ..framework.records import KeyValueSet
-from ..gpu.accessor import Accessor
-from ..gpu.stats import KernelStats
-from ..obs.telemetry import ShardProfile
-from ..store import (
-    DEFAULT_BUDGET,
-    IntermediateStore,
-    SpillStore,
-    StoreStats,
-    merge_runs,
-    resolve_budget,
-    resolve_spill_root,
-    resolve_store_name,
+from ..framework.host import shard_slices
+from ..framework.tasks import run_task
+from .sharded import (  # noqa: F401  (re-exported configuration API)
+    DEFAULT_MIN_RECORDS,
+    WORKERS_ENV,
+    ShardedBackend,
+    default_workers,
 )
-from .base import ExecutionBackend
-from .fast import NULL_TRACE, FastBackend, FastContext, StoreGroups
-from .plan import JobPlan
 
-#: Environment variable giving the default worker count.
-WORKERS_ENV = "REPRO_WORKERS"
-
-#: Below this many records a phase runs in-process: forking and
-#: round-tripping shards through the pool costs more than the work.
-DEFAULT_MIN_RECORDS = 2048
-
-#: Groups per Reduce chunk when consuming a lazy spill-merge stream —
-#: bounds how much of the grouped intermediate is materialised at once.
-SPILL_REDUCE_BATCH = 1024
+#: The job a pool worker serves; set in each forked worker by the pool
+#: initializer, never in the coordinator.
+_POOL_JOB: tuple | None = None
 
 
-def default_workers() -> int:
-    """``$REPRO_WORKERS`` if set, else the machine's CPU count."""
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise FrameworkError(
-                f"${WORKERS_ENV} must be an integer, got {env!r}"
-            ) from None
-        if n < 1:
-            # A zero/negative count used to be silently clamped to 1;
-            # treat it as the configuration mistake it is.
-            raise FrameworkError(
-                f"${WORKERS_ENV} must be >= 1, got {env!r}"
-            )
-        return n
-    return os.cpu_count() or 1
+def _install_job(job: tuple) -> None:
+    global _POOL_JOB
+    _POOL_JOB = job
 
 
-def _accessor(data: bytes) -> Accessor:
-    return Accessor(data, NULL_TRACE)
+def _pool_task(item: tuple[str, int, dict]) -> dict:
+    phase, shard, task = item
+    return run_task(_POOL_JOB, phase, shard, task)
 
 
-def _spill_active(plan: JobPlan) -> bool:
-    """Does this plan (or the environment) select the spill store?"""
-    return resolve_store_name(plan.store) == SpillStore.name
-
-
-# ----------------------------------------------------------------------
-# Worker-side state and entry points
-# ----------------------------------------------------------------------
-# The pool is created with the "fork" start method and an initializer,
-# so the spec (with arbitrary user callables) reaches workers by memory
-# inheritance, never by pickling.  Only shard payloads (bytes tuples)
-# and results travel through the task queues.
-
-_WORKER_SPEC = None
-_WORKER_STRATEGY = None
-_WORKER_IS_MARS = False
-
-
-def _init_worker(spec, strategy, is_mars) -> None:
-    global _WORKER_SPEC, _WORKER_STRATEGY, _WORKER_IS_MARS
-    _WORKER_SPEC = spec
-    _WORKER_STRATEGY = strategy
-    _WORKER_IS_MARS = is_mars
-
-
-def _collecting_emit(out: list[tuple[bytes, bytes]]):
-    append = out.append
-
-    def emit(k, v) -> None:
-        if type(k) is not bytes or type(v) is not bytes:
-            # Validate and copy bytearray/memoryview emits, like the
-            # simulator's collector and the fast backend do.
-            if not isinstance(k, (bytes, bytearray)) or not isinstance(
-                v, (bytes, bytearray)
-            ):
-                raise FrameworkError("keys and values must be bytes")
-            k, v = bytes(k), bytes(v)
-        append((k, v))
-
-    return emit
-
-
-def _store_emit(store: SpillStore):
-    """An emit closure that validates like :func:`_collecting_emit`
-    but lands records straight in a spill store, so a shard's Map
-    output never accumulates unbounded in worker memory."""
-    emit_kv = store.emit
-
-    def emit(k, v) -> None:
-        if type(k) is not bytes or type(v) is not bytes:
-            if not isinstance(k, (bytes, bytearray)) or not isinstance(
-                v, (bytes, bytearray)
-            ):
-                raise FrameworkError("keys and values must be bytes")
-            k, v = bytes(k), bytes(v)
-        emit_kv(k, v)
-
-    return emit
-
-
-def _map_shard(task) -> tuple:
-    """Map one shard; optionally partial-combine or spill its emissions.
-
-    Returns ``("pairs", emitted, profile)``; under a BR partial
-    combine, ``("combined", n_emitted, [(key, (acc, count)), ...],
-    profile)`` with keys in first-emission order; under a spill store,
-    ``("spilled", (run_paths, n_emitted, peak_bytes), profile)`` with
-    every emission flushed to key-sorted run files the coordinator
-    merges (and owns from here on).  The
-    :class:`~repro.obs.telemetry.ShardProfile` records the shard's
-    wall-clock bounds and throughput for the coordinator's per-worker
-    tracks and straggler summary.
-    """
-    shard, pairs, do_combine, spill = task
-    spec = _WORKER_SPEC
-    t0 = time.perf_counter_ns()
-    const = _accessor(spec.const_bytes) if spec.const_bytes else None
-    map_record = spec.map_record
-    if spill is not None:
-        run_dir, budget = spill
-        store = SpillStore(budget, spill_dir=run_dir,
-                           prefix=f"shard{shard:04d}", own_dir=False)
-        emit = _store_emit(store)
-        for k, v in pairs:
-            map_record(_accessor(k), _accessor(v), emit, const)
-        runs = store.flush_runs()
-        st = store.stats
-        t1 = time.perf_counter_ns()
-        profile = ShardProfile(
-            phase="map", shard=shard, pid=os.getpid(),
-            start_ns=t0, end_ns=t1, records_in=len(pairs),
-            records_out=st.emitted_records,
-            spill_runs=st.spill_runs, spilled_bytes=st.spilled_bytes,
-        )
-        return ("spilled", (runs, st.emitted_records, st.peak_bytes),
-                profile)
-    out: list[tuple[bytes, bytes]] = []
-    emit = _collecting_emit(out)
-    for k, v in pairs:
-        map_record(_accessor(k), _accessor(v), emit, const)
-    if not do_combine:
-        t1 = time.perf_counter_ns()
-        profile = ShardProfile(
-            phase="map", shard=shard, pid=os.getpid(),
-            start_ns=t0, end_ns=t1, records_in=len(pairs),
-            records_out=len(out), distinct_keys=len({k for k, _ in out}),
-        )
-        return ("pairs", out, profile)
-    t_combine = time.perf_counter_ns()
-    combine = spec.combine
-    acc: dict[bytes, tuple[bytes, int]] = {}
-    for k, v in out:
-        cur = acc.get(k)
-        acc[k] = (v, 1) if cur is None else (combine(cur[0], v), cur[1] + 1)
-    t1 = time.perf_counter_ns()
-    profile = ShardProfile(
-        phase="map", shard=shard, pid=os.getpid(),
-        start_ns=t0, end_ns=t1, records_in=len(pairs),
-        records_out=len(out), distinct_keys=len(acc),
-        combined=True, combine_ns=t1 - t_combine,
-    )
-    return ("combined", len(out), list(acc.items()), profile)
-
-
-def _reduce_range(task) -> tuple[list[tuple[bytes, bytes]], ShardProfile]:
-    """Reduce one contiguous range of key groups.
-
-    ``(shard, "plain", groups)`` carries ``(key, [value, ...])``
-    groups and runs the strategy exactly like the fast backend;
-    ``(shard, "combined", groups)`` carries ``(key, [(acc, count),
-    ...])`` partial combines (in shard order) and finishes the BR
-    fold.  Returns ``(records, profile)``.
-    """
-    shard, kind, groups = task
-    spec = _WORKER_SPEC
-    t0 = time.perf_counter_ns()
-    out: list[tuple[bytes, bytes]] = []
-    emit = _collecting_emit(out)
-    const = _accessor(spec.const_bytes) if spec.const_bytes else None
-    if kind == "combined":
-        n_values = sum(c for _, parts in groups for _, c in parts)
-        combine, finalize = spec.combine, spec.finalize
-        for key, parts in groups:
-            acc = _fold(combine, (a for a, _ in parts))
-            k_out, v_out = finalize(key, acc, sum(c for _, c in parts))
-            out.append((bytes(k_out), bytes(v_out)))
-        return out, _reduce_profile(shard, t0, n_values, len(groups), out)
-    n_values = sum(len(values) for _, values in groups)
-    if _WORKER_STRATEGY is ReduceStrategy.BR and not _WORKER_IS_MARS:
-        combine, finalize = spec.combine, spec.finalize
-        for key, values in groups:
-            acc = _fold(combine, values)
-            k_out, v_out = finalize(key, acc, len(values))
-            out.append((bytes(k_out), bytes(v_out)))
-        return out, _reduce_profile(shard, t0, n_values, len(groups), out)
-    reduce_record = spec.reduce_record
-    cache: dict[bytes, Accessor] = {}
-
-    def acc_of(data: bytes) -> Accessor:
-        a = cache.get(data)
-        if a is None:
-            a = _accessor(data)
-            cache[data] = a
-        return a
-
-    for key, values in groups:
-        reduce_record(acc_of(key), [acc_of(v) for v in values], emit, const)
-    return out, _reduce_profile(shard, t0, n_values, len(groups), out)
-
-
-def _reduce_profile(shard: int, t0: int, n_values: int, n_groups: int,
-                    out: list) -> ShardProfile:
-    return ShardProfile(
-        phase="reduce", shard=shard, pid=os.getpid(),
-        start_ns=t0, end_ns=time.perf_counter_ns(),
-        records_in=n_values, records_out=len(out),
-        distinct_keys=n_groups,
-    )
-
-
-# ----------------------------------------------------------------------
-# Coordinator-side handles
-# ----------------------------------------------------------------------
-
-
-class _MapOutput:
-    """Map-phase handle: shard results still in per-shard form."""
-
-    __slots__ = ("pairs", "combined", "emit_count")
-
-    def __init__(self, pairs: KeyValueSet | None,
-                 combined: list[list] | None, emit_count: int):
-        #: Flat emissions in input order (None under partial combine).
-        self.pairs = pairs
-        #: Per-shard ``[(key, (acc, count)), ...]`` lists, shard order.
-        self.combined = combined
-        #: Records the user Map emitted (before any combining).
-        self.emit_count = emit_count
-
-
-class _CombinedGroups:
-    """Shuffle-phase handle for partially combined intermediates."""
-
-    __slots__ = ("groups",)
-
-    def __init__(self, groups: list[tuple[bytes, list[tuple[bytes, int]]]]):
-        self.groups = groups
-
-    def __len__(self) -> int:
-        return len(self.groups)
-
-
-class _SpilledRuns:
-    """Map-phase handle when shards spilled: per-shard run-file lists.
-
-    ``run_lists`` is one chronological run-path list per shard, in
-    shard order — exactly the producer layout
-    :func:`repro.store.spill.merge_runs` needs to reconstruct global
-    emission order for equal keys.  ``stats`` aggregates the workers'
-    spill accounting (``peak_bytes`` sums the per-worker highs: the
-    shards buffer concurrently, so the sum is the job's tracked peak).
-    """
-
-    __slots__ = ("run_lists", "emit_count", "stats")
-
-    def __init__(self, run_lists: list[list[str]], emit_count: int,
-                 peak_bytes: int, spill_runs: int, spilled_bytes: int):
-        self.run_lists = run_lists
-        self.emit_count = emit_count
-        self.stats = StoreStats(
-            emitted_records=emit_count, peak_bytes=peak_bytes,
-            spill_runs=spill_runs, spilled_bytes=spilled_bytes,
-        )
-
-
-class ParallelContext:
-    """Per-job state: the inner fast context plus the worker pool."""
-
-    __slots__ = ("fast", "workers", "min_records", "pool", "profiles",
-                 "spill_dirs")
-
-    def __init__(self, fast: FastContext, workers: int, min_records: int):
-        self.fast = fast
-        self.workers = workers
-        self.min_records = min_records
-        self.pool = None
-        #: Shard profiles shipped back from pool workers, in phase
-        #: order; harvested by :meth:`ParallelBackend.finish_telemetry`.
-        self.profiles: list[ShardProfile] = []
-        #: Coordinator-owned spill directories (shared by the shard
-        #: stores); removed wholesale in :meth:`ParallelBackend.close`,
-        #: so even a failed job leaves no run files behind.
-        self.spill_dirs: list[str] = []
-
-    # The execution core reads/writes ``ctx.plan`` and reads
-    # ``ctx.config``; keep the inner fast context authoritative.
-    @property
-    def plan(self) -> JobPlan:
-        return self.fast.plan
-
-    @plan.setter
-    def plan(self, plan: JobPlan) -> None:
-        self.fast.plan = plan
-
-    @property
-    def config(self):
-        return self.fast.config
-
-
-class ParallelBackend(ExecutionBackend):
-    """Shard fast-backend execution across a process pool."""
+class ParallelBackend(ShardedBackend):
+    """Shard fast-backend execution across a ``fork`` process pool."""
 
     name = "parallel"
+    partial_combine = True
 
-    def __init__(self, workers: int | None = None,
-                 min_records: int | None = None):
-        if workers is not None and workers < 1:
-            raise FrameworkError("workers must be >= 1")
-        self.workers = workers if workers is not None else default_workers()
-        self.min_records = (DEFAULT_MIN_RECORDS if min_records is None
-                            else max(0, min_records))
-        # Pinned scalar: pool workers run the record-at-a-time path, so
-        # parallel output never changes shape under $REPRO_COLUMNAR.
-        self._fast = FastBackend(columnar=False)
+    def _big_enough(self, n_records: int) -> bool:
+        return (self.workers >= 2 and n_records >= self.min_records
+                and n_records >= self.workers)
 
-    # -- lifecycle -----------------------------------------------------
-
-    def open(self, plan: JobPlan) -> ParallelContext:
-        return ParallelContext(
-            fast=self._fast.open(plan),
-            workers=self.workers,
-            min_records=self.min_records,
+    def _start(self, plan) -> Any:
+        return multiprocessing.get_context("fork").Pool(
+            self.workers, initializer=_install_job,
+            initargs=((plan.spec, plan.strategy, plan.is_mars),),
         )
 
-    def close(self, ctx: ParallelContext) -> None:
-        if ctx.pool is not None:
-            ctx.pool.close()
-            ctx.pool.join()
-            ctx.pool = None
-        self._fast.close(ctx.fast)
-        dirs, ctx.spill_dirs = ctx.spill_dirs, []
-        for d in dirs:
-            shutil.rmtree(d, ignore_errors=True)
+    def _stop(self, pool) -> None:
+        pool.close()
+        pool.join()
 
-    def resolve_auto(self, ctx, plan, inp):
-        return self._fast.resolve_auto(ctx.fast, plan, inp)
+    def _split_slices(self, d_in):
+        return shard_slices(len(d_in), self.workers)
 
-    # -- pool management -----------------------------------------------
+    def _reduce_ranges(self) -> int:
+        return self.workers
 
-    def _pool_for(self, ctx: ParallelContext, n_records: int):
-        """The job's pool, created on first use — or None when the
-        input is too small, only one worker is configured, or the
-        platform cannot fork."""
-        if (ctx.workers < 2 or n_records < ctx.min_records
-                or n_records < ctx.workers):
-            return ctx.pool  # may exist from an earlier, larger batch
-        if ctx.pool is None:
-            if "fork" not in multiprocessing.get_all_start_methods():
-                return None
-            plan = ctx.plan
-            ctx.pool = multiprocessing.get_context("fork").Pool(
-                ctx.workers,
-                initializer=_init_worker,
-                initargs=(plan.spec, plan.strategy, plan.is_mars),
-            )
-        return ctx.pool
+    def _run(self, ctx, phase, tasks) -> list[dict]:
+        try:
+            return list(ctx.executor.imap(
+                _pool_task, ((phase, shard, task) for shard, task in tasks),
+                chunksize=1,
+            ))
+        except Exception as exc:
+            # The worker's exception, re-raised as is (its remote
+            # traceback rides along as __cause__).  Drop the pool's own
+            # frames: they would pin its notifier pipe for as long as
+            # the caller holds the exception.
+            raise exc.with_traceback(None)
 
-    # -- transfers and conversions (delegate to fast) -------------------
-
-    def upload_input(self, ctx, kvs, label):
-        return self._fast.upload_input(ctx.fast, kvs, label)
-
-    def download_output(self, ctx, handle):
-        return self._fast.download_output(ctx.fast, self._as_kvs(handle))
-
-    def to_host(self, ctx, handle):
-        return self._as_kvs(handle)
-
-    def stage_intermediate(self, ctx, kvs, label):
-        return kvs
-
-    def record_count(self, ctx, handle) -> int:
-        if isinstance(handle, (_MapOutput, _SpilledRuns)):
-            return handle.emit_count
-        return len(handle)
-
-    # -- streamed sink (delegate to the store-aware fast logic) ---------
-
-    def stream_sink(self, ctx):
-        return self._fast.stream_sink(ctx.fast)
-
-    def absorb_batch(self, ctx, sink, handle) -> None:
-        if isinstance(sink, IntermediateStore):
-            sink.emit_many(self.to_host(ctx, handle))
-        else:
-            super().absorb_batch(ctx, sink, handle)
-
-    @staticmethod
-    def _as_kvs(handle) -> KeyValueSet:
-        if isinstance(handle, KeyValueSet):
-            return handle
-        if isinstance(handle, _MapOutput):
-            if handle.pairs is None:
-                raise FrameworkError(
-                    "partially combined intermediate cannot be read back "
-                    "as records"
-                )
-            return handle.pairs
-        raise FrameworkError(f"not a host-readable handle: {type(handle)!r}")
-
-    # -- phases ---------------------------------------------------------
-
-    def _want_combine(self, plan: JobPlan, *, streamed: bool) -> bool:
-        """Partial combine applies to single-shot BR jobs with a
-        combiner.  The streamed driver flattens batch outputs into one
-        host record set between Map and Shuffle, so partial
-        accumulators cannot survive that hop.  A spilling job also
-        skips it: run files carry plain pairs, and the full BR fold in
-        Reduce keeps the output byte-identical to the fast backend
-        (partial combining would regroup float folds)."""
-        return (not streamed and not plan.is_mars
-                and plan.strategy is ReduceStrategy.BR
-                and plan.spec.combine is not None
-                and not _spill_active(plan))
-
-    def _spill_config(self, ctx, *, batch) -> tuple[str, int] | None:
-        """Worker spill settings for one pooled Map, or None.
-
-        Per-shard spill applies to single-shot jobs with a Reduce
-        tail: strategy-``None`` jobs download the Map output directly,
-        and streamed batches flow into the coordinator's sink store
-        instead.  The budget splits evenly across workers (shards
-        buffer concurrently, so the per-job bound is preserved).
-        """
-        plan = ctx.plan
-        if batch is not None or plan.strategy is None \
-                or not _spill_active(plan):
-            return None
-        # resolve_spill_root() validates $REPRO_SPILL_DIR (exists,
-        # writable) so a bad setting fails here with a clear error
-        # instead of surfacing as an OSError inside a pool worker.
-        run_dir = tempfile.mkdtemp(
-            prefix="repro-spill-", dir=resolve_spill_root()
-        )
-        ctx.spill_dirs.append(run_dir)
-        budget = resolve_budget(plan.memory_budget) or DEFAULT_BUDGET
-        return run_dir, max(1, budget // ctx.workers)
-
-    def map_phase(self, ctx, d_in, tr, *, batch=None):
-        plan = ctx.plan
-        pool = self._pool_for(ctx, len(d_in))
-        if pool is None:
-            return self._fast.map_phase(ctx.fast, d_in, tr, batch=batch)
-
-        do_combine = self._want_combine(plan, streamed=batch is not None)
-        spill = self._spill_config(ctx, batch=batch)
-        slices = shard_slices(len(d_in), ctx.workers)
-        keys, vals = d_in.keys, d_in.values
-        tasks = [(shard, list(zip(keys[lo:hi], vals[lo:hi])), do_combine,
-                  spill)
-                 for shard, (lo, hi) in enumerate(slices)]
-        results = pool.map(_map_shard, tasks, chunksize=1)
-        self._record_profiles(ctx, tr, [r[-1] for r in results])
-
-        if spill is not None:
-            emit_count = sum(r[1][1] for r in results)
-            handle = _SpilledRuns(
-                run_lists=[r[1][0] for r in results],
-                emit_count=emit_count,
-                peak_bytes=sum(r[1][2] for r in results),
-                spill_runs=sum(len(r[1][0]) for r in results),
-                spilled_bytes=sum(p.spilled_bytes
-                                  for _, _, p in results),
-            )
-            stats = self._phase_stats(ctx, records_in=len(d_in),
-                                      records_out=emit_count,
-                                      shards=len(slices))
-            attrs = {"batch": batch} if batch is not None else {}
-            tr.kernel("map_kernel", stats, **attrs)
-            return handle, stats
-        if do_combine:
-            emit_count = sum(r[1] for r in results)
-            handle = _MapOutput(pairs=None,
-                                combined=[r[2] for r in results],
-                                emit_count=emit_count)
-        else:
-            out = KeyValueSet()
-            append = out.append_unchecked
-            for _, pairs, _profile in results:
-                for k, v in pairs:
-                    append(k, v)
-            emit_count = len(out)
-            handle = _MapOutput(pairs=out, combined=None,
-                                emit_count=emit_count)
-        stats = self._phase_stats(ctx, records_in=len(d_in),
-                                  records_out=emit_count,
-                                  shards=len(slices))
-        if do_combine:
-            stats.count("parallel_combined_out",
-                        sum(len(r[2]) for r in results))
-        attrs = {"batch": batch} if batch is not None else {}
-        tr.kernel("map_kernel", stats, **attrs)
-        return handle, stats
-
-    def shuffle_phase(self, ctx, inter, tr, label):
-        if isinstance(inter, _SpilledRuns):
-            # Per-shard runs: merge-stream them shard-major, exactly
-            # the group order the in-memory shuffle would produce.
-            with tr.span("shuffle_exec", records=inter.emit_count) as sp:
-                if sp is not None:
-                    sp.attrs["spill_runs"] = inter.stats.spill_runs
-                    sp.attrs["spilled_bytes"] = inter.stats.spilled_bytes
-                inter.stats.merge_fan_in = sum(
-                    len(runs) for runs in inter.run_lists
-                )
-            grouped = StoreGroups(merge_runs(inter.run_lists), inter.stats)
-            return grouped, 0.0, None
-        if isinstance(inter, IntermediateStore):
-            # Streamed sink store: the fast logic finalizes it.
-            return self._fast.shuffle_phase(ctx.fast, inter, tr, label)
-        if isinstance(inter, _MapOutput) and inter.combined is not None:
-            merged: dict[bytes, list[tuple[bytes, int]]] = {}
-            for shard in inter.combined:  # shard order = emission order
-                for key, part in shard:
-                    bucket = merged.get(key)
-                    if bucket is None:
-                        merged[key] = [part]
-                    else:
-                        bucket.append(part)
-            grouped = _CombinedGroups(sorted(merged.items()))
-            return grouped, 0.0, len(grouped)
-        return self._fast.shuffle_phase(ctx.fast, self._as_kvs(inter), tr,
-                                        label)
-
-    def reduce_phase(self, ctx, grouped, tr, *, include_grid=True):
-        plan = ctx.plan
-        spec = plan.spec
-        # Same legality checks as the fast backend and the sim's
-        # reduce engine.
-        if plan.is_mars and spec.reduce_record is None:
-            raise FrameworkError(f"{spec.name}: Mars reduce needs a TR "
-                                 "reduce fn")
-        if not plan.is_mars:
-            effective_reduce_mode(plan.reduce_mode, plan.strategy)
-            if (plan.strategy is ReduceStrategy.TR
-                    and spec.reduce_record is None):
-                raise FrameworkError(
-                    f"workload {spec.name} has no TR reduce function"
-                )
-
-        if isinstance(grouped, StoreGroups):
-            return self._reduce_stream(ctx, grouped, tr)
-
-        combined = isinstance(grouped, _CombinedGroups)
-        groups = grouped.groups if combined else grouped
-        n_values = (sum(c for _, parts in groups for _, c in parts)
-                    if combined
-                    else sum(len(values) for _, values in groups))
-        pool = ctx.pool if len(groups) >= ctx.workers else None
-        kind = "combined" if combined else "plain"
-
-        if pool is None:
-            results = [_reduce_range_inproc(ctx, kind, groups)]
-            n_ranges = 1
-        else:
-            slices = shard_slices(len(groups), ctx.workers)
-            tasks = [(shard, kind, groups[lo:hi])
-                     for shard, (lo, hi) in enumerate(slices)]
-            results = pool.map(_reduce_range, tasks, chunksize=1)
-            n_ranges = len(slices)
-            self._record_profiles(ctx, tr, [p for _, p in results])
-
-        out = KeyValueSet()
-        append = out.append_unchecked
-        for chunk, _profile in results:  # range order = sorted key order
-            for k, v in chunk:
-                append(k, v)
-        stats = self._phase_stats(ctx, records_in=n_values,
-                                  records_out=len(out), shards=n_ranges)
-        if combined:
-            stats.count("parallel_combined_in", len(groups))
-        tr.kernel("reduce_kernel", stats)
-        return out, stats
-
-    def _reduce_stream(self, ctx, grouped: StoreGroups, tr):
-        """Reduce a lazy group stream in bounded key-ordered batches.
-
-        The stream's length is unknown up front, so instead of one
-        contiguous range per worker the groups are consumed in
-        fixed-size chunks fed through ``pool.imap`` (ordered), keeping
-        at most a few chunks of groups materialised at a time.  Chunk
-        outputs concatenate in chunk order = sorted key order, so the
-        output matches the eager path exactly.
-        """
-        out = KeyValueSet()
-        append = out.append_unchecked
-        pool = ctx.pool
-
-        def tasks():
-            it = iter(grouped)
-            shard = 0
-            while True:
-                chunk = list(islice(it, SPILL_REDUCE_BATCH))
-                if not chunk:
-                    return
-                yield (shard, "plain", chunk)
-                shard += 1
-
-        if pool is None:
-            plan = ctx.plan
-            _init_worker(plan.spec, plan.strategy, plan.is_mars)
-            try:
-                results_iter = map(_reduce_range, tasks())
-                n_values, n_ranges, profiles = self._drain_reduce(
-                    results_iter, append
-                )
-            finally:
-                _init_worker(None, None, False)
-        else:
-            results_iter = pool.imap(_reduce_range, tasks(), chunksize=1)
-            n_values, n_ranges, profiles = self._drain_reduce(
-                results_iter, append
-            )
-            self._record_profiles(ctx, tr, profiles)
-
-        stats = self._phase_stats(ctx, records_in=n_values,
-                                  records_out=len(out), shards=n_ranges)
-        if grouped.stats is not None:
-            for name, v in grouped.stats.as_extra().items():
-                stats.count(name, v)
-        tr.kernel("reduce_kernel", stats)
-        return out, stats
-
-    @staticmethod
-    def _drain_reduce(results_iter, append):
-        n_values = n_ranges = 0
-        profiles = []
-        for chunk_out, profile in results_iter:
-            n_ranges += 1
-            n_values += profile.records_in
-            for k, v in chunk_out:
-                append(k, v)
-            profiles.append(profile)
-        return n_values, n_ranges, profiles
-
-    # -- telemetry ------------------------------------------------------
-
-    @staticmethod
-    def _record_profiles(ctx: ParallelContext, tr,
-                         profiles: list[ShardProfile]) -> None:
-        """Bank shard profiles on the context and merge them into the
-        tracer as per-worker tracks (shard index = track id)."""
-        ctx.profiles.extend(profiles)
-        for p in profiles:
-            tr.worker_span(
-                p.shard, f"{p.phase}_shard", p.start_ns, p.end_ns,
-                pid=p.pid, records_in=p.records_in,
-                records_out=p.records_out, distinct_keys=p.distinct_keys,
-                combine_ns=p.combine_ns if p.combined else None,
-                spill_runs=p.spill_runs if p.spill_runs else None,
-                spilled_bytes=p.spilled_bytes if p.spill_runs else None,
-            )
-
-    def finish_telemetry(self, ctx: ParallelContext):
-        """Shard profiles collected this job (empty -> None: in-process
-        fallback runs have no cross-process telemetry to report)."""
-        return ctx.profiles or None
-
-    @staticmethod
-    def _phase_stats(ctx, *, records_in: int, records_out: int,
-                     shards: int) -> KernelStats:
-        """Like the fast backend's: zero cycles, throughput counters
-        only, plus the sharding shape."""
-        stats = KernelStats(threads_per_block=ctx.plan.threads_per_block)
-        stats.count("fast_records_in", records_in)
-        stats.count("fast_records_out", records_out)
-        stats.count("parallel_shards", shards)
-        stats.count("parallel_workers", ctx.workers)
-        return stats
-
-
-def _reduce_range_inproc(ctx: ParallelContext, kind: str, groups):
-    """Run a reduce range in-process using the worker entry point."""
-    plan = ctx.plan
-    _init_worker(plan.spec, plan.strategy, plan.is_mars)
-    try:
-        return _reduce_range((0, kind, groups))
-    finally:
-        _init_worker(None, None, False)
+    def _count(self, stats, ctx, n_tasks, before, groups=None) -> None:
+        stats.count("parallel_shards", n_tasks)
+        stats.count("parallel_workers", self.workers)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from ..errors import FrameworkError
 from ..framework.api import MapReduceSpec
 from ..framework.modes import AUTO, MemoryMode, ReduceStrategy, \
-    resolve_mode_name, resolve_strategy_name
+    effective_reduce_mode, resolve_mode_name, resolve_strategy_name
 from ..gpu.config import DeviceConfig
 
 #: Engine selectors: the paper's single-pass shared-memory framework
@@ -148,6 +148,25 @@ class JobPlan:
     @property
     def is_mars(self) -> bool:
         return self.engine == ENGINE_MARS
+
+    def check_reduce(self) -> None:
+        """Reject a Reduce this plan cannot run — the legality checks
+        every host executor shares with the sim's reduce engine: Mars
+        needs a TR reduce fn, BR x GT is rejected, TR needs a reduce
+        fn."""
+        spec = self.spec
+        if self.is_mars:
+            if spec.reduce_record is None:
+                raise FrameworkError(
+                    f"{spec.name}: Mars reduce needs a TR reduce fn"
+                )
+            return
+        effective_reduce_mode(self.reduce_mode, self.strategy)
+        if (self.strategy is ReduceStrategy.TR
+                and spec.reduce_record is None):
+            raise FrameworkError(
+                f"workload {spec.name} has no TR reduce function"
+            )
 
     @property
     def mode_label(self) -> str:

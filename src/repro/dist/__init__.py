@@ -1,13 +1,14 @@
 """Distributed execution machinery: coordinator, workers, wire, faults.
 
-This package holds everything the
-:class:`~repro.backend.distributed.DistributedBackend` needs to cross
-the process boundary the MapReduce way — a coordinator scheduling
-tasks over socket-connected worker processes, surviving worker death
-by re-execution and stragglers by speculation — plus the
+This package holds the transport the
+:class:`~repro.backend.distributed.DistributedBackend` adds to the
+sharded executor — a coordinator scheduling tasks over
+socket-connected worker processes, surviving worker death by
+re-execution and stragglers by speculation — plus the
 :class:`FaultPlan` hook that makes every failure mode scriptable from
-tests.  Nothing here imports :mod:`repro.backend`; the dependency
-points one way.
+tests.  The workers run :mod:`repro.framework.tasks`, like the
+parallel backend's pool.  Nothing here imports :mod:`repro.backend`;
+the dependency points one way.
 """
 
 from .coordinator import (

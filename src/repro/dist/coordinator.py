@@ -175,7 +175,7 @@ class Cluster:
         if self._started:
             raise FrameworkError("cluster already started")
         self._started = True
-        worker_mod.configure(spec, strategy, is_mars)
+        self._job = (spec, strategy, is_mars)
         self._mp = multiprocessing.get_context("fork")
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.bind(("127.0.0.1", 0))
@@ -191,7 +191,8 @@ class Cluster:
     def _fork(self, idx: int) -> None:
         proc = self._mp.Process(
             target=worker_mod.worker_main,
-            args=(self._port, idx, self.fault_plan.for_worker(idx)),
+            args=(self._port, idx, self._job,
+                  self.fault_plan.for_worker(idx)),
             daemon=True,
         )
         proc.start()

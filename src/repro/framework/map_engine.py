@@ -45,7 +45,7 @@ from .collector import (
 from .layout import SmemLayout, plan_layout
 from .modes import MemoryMode
 from .partition import partition_warps
-from .records import DIR_ENTRY, DeviceRecordSet, OutputBuffers
+from .records import DIR_ENTRY, DeviceRecordSet, OutputBuffers, collecting_emit
 from .staging import StagedTile, Tile, plan_tiles_staged, plan_tiles_unstaged, stage_in
 
 
@@ -430,10 +430,7 @@ def _compute_rounds(
             val_acc = Accessor(rt.record_val(rec))
             const_acc = Accessor(rt.const_data) if rt.const_data else None
             lane_out: list[tuple[bytes, bytes]] = []
-
-            def emit(k: bytes, v: bytes, _o=lane_out) -> None:
-                _o.append((bytes(k), bytes(v)))
-
+            emit = collecting_emit(lane_out)
             spec.map_record(key_acc, val_acc, emit, const_acc)
             key_traces.append(key_acc.trace)
             val_traces.append(val_acc.trace)

@@ -17,7 +17,7 @@ matching what the staging copies move byte-for-byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +29,46 @@ DIR_ENTRY = 8
 
 #: Bytes of directory data per record (key entry + value entry).
 DIR_PER_RECORD = 2 * DIR_ENTRY
+
+
+def checked_record(key, value) -> tuple[bytes, bytes]:
+    """The emit contract every executor enforces, in one place: keys
+    and values must be ``bytes`` or ``bytearray`` (copied to
+    ``bytes``); anything else — ``str``, ``int``, ``memoryview`` — is
+    a :class:`~repro.errors.FrameworkError`."""
+    if not isinstance(key, (bytes, bytearray)) or not isinstance(
+        value, (bytes, bytearray)
+    ):
+        raise FrameworkError("keys and values must be bytes")
+    return bytes(key), bytes(value)
+
+
+def checked_emit(sink: Callable[[bytes, bytes], None]
+                 ) -> Callable[[bytes, bytes], None]:
+    """A user-facing emit that validates like :func:`checked_record`
+    and forwards ``(key, value)`` to ``sink``.  Exact ``bytes`` take
+    the fast path: no copy, no ``isinstance``."""
+
+    def emit(k, v) -> None:
+        if type(k) is not bytes or type(v) is not bytes:
+            k, v = checked_record(k, v)
+        sink(k, v)
+
+    return emit
+
+
+def collecting_emit(out: list[tuple[bytes, bytes]]
+                    ) -> Callable[[bytes, bytes], None]:
+    """:func:`checked_emit` specialised to appending ``(key, value)``
+    tuples to a list (saves a call per emission on the hot path)."""
+    append = out.append
+
+    def emit(k, v) -> None:
+        if type(k) is not bytes or type(v) is not bytes:
+            k, v = checked_record(k, v)
+        append((k, v))
+
+    return emit
 
 
 class KeyValueSet:
@@ -43,12 +83,10 @@ class KeyValueSet:
             self.append(k, v)
 
     def append(self, key: bytes, value: bytes) -> None:
-        if not isinstance(key, (bytes, bytearray)) or not isinstance(
-            value, (bytes, bytearray)
-        ):
-            raise FrameworkError("keys and values must be bytes")
-        self._keys.append(bytes(key))
-        self._vals.append(bytes(value))
+        if type(key) is not bytes or type(value) is not bytes:
+            key, value = checked_record(key, value)
+        self._keys.append(key)
+        self._vals.append(value)
 
     def append_unchecked(self, key: bytes, value: bytes) -> None:
         """Hot-path append: both arguments must already be ``bytes``

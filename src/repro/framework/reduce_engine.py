@@ -60,7 +60,7 @@ from .layout import SmemLayout, plan_layout
 from .map_engine import chunk_steps, dir_read_op
 from .modes import MemoryMode, ReduceStrategy, effective_reduce_mode
 from .partition import partition_warps
-from .records import DIR_ENTRY, OutputBuffers
+from .records import DIR_ENTRY, OutputBuffers, collecting_emit
 from .shuffle import GroupedDeviceSet
 from .staging import Tile, plan_tiles_unstaged
 
@@ -259,10 +259,7 @@ def _tr_rounds(ctx: WarpCtx, rt: ReduceRuntime, tile: Tile, part,
                 val_accs = []
             const_acc = Accessor(rt.const_data) if rt.const_data else None
             lane_out: list[tuple[bytes, bytes]] = []
-
-            def emit(k: bytes, v: bytes, _o=lane_out) -> None:
-                _o.append((bytes(k), bytes(v)))
-
+            emit = collecting_emit(lane_out)
             spec.reduce_record(key_acc, val_accs, emit, const_acc)
 
             stream: list[tuple[int, int]] = []

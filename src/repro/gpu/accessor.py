@@ -56,6 +56,26 @@ class AccessTrace:
         self.words.clear()
 
 
+class _NullTrace(AccessTrace):
+    """An access trace that records nothing."""
+
+    __slots__ = ()
+
+    def touch(self, start: int, nbytes: int) -> None:
+        return
+
+
+#: One shared no-op trace: host executors (which never replay traces)
+#: build accessors on it, so no per-word lists are allocated only to
+#: be thrown away.
+NULL_TRACE = _NullTrace()
+
+
+def host_accessor(data: bytes) -> "Accessor":
+    """An :class:`Accessor` on :data:`NULL_TRACE`, for host execution."""
+    return Accessor(data, NULL_TRACE)
+
+
 class Accessor:
     """Read-only, access-traced view of one record's bytes.
 

@@ -1,19 +1,19 @@
 """Cross-process worker telemetry: shard profiles and straggler math.
 
-The parallel backend's forked workers each record a lightweight
-:class:`ShardProfile` for the shard they executed — wall-clock bounds
+The sharded backends' forked workers each record a lightweight
+profile of the task they executed — wall-clock bounds
 (``perf_counter_ns``; forked children share the parent's clock epoch,
 so stamps are directly comparable), record and emission counts, and
 the distinct-key width of any per-shard combine.  Profiles ship back
-with the shard results, merge into the parent
+with the task results as plain dicts, become :class:`ShardProfile`
+objects in the coordinator, merge into the parent
 :class:`~repro.obs.tracer.Tracer` as per-worker tracks, and aggregate
 into a :class:`WorkerSummary` — the max-vs-median shard time and skew
-ratio that the distributed-backend roadmap item needs for straggler
-detection (the Xeon Phi MapReduce work leans on exactly this
-per-thread phase profiling to find imbalance).
+ratio used for straggler detection (the Xeon Phi MapReduce work leans
+on exactly this per-thread phase profiling to find imbalance).
 
-Everything here is plain data: profiles cross the process boundary by
-pickling, so no field may hold user callables or live handles.
+Everything here is plain data, so no field may hold user callables or
+live handles.
 """
 
 from __future__ import annotations

@@ -1,0 +1,108 @@
+"""One emit contract on every executor.
+
+User Map/Reduce functions may emit ``bytes`` or ``bytearray`` keys and
+values (a ``bytearray`` is copied, so mutating it afterwards cannot
+change the output); anything else fails the job with "keys and values
+must be bytes" — on the simulator as on the host executors, from Map
+as from Reduce.
+"""
+
+import pytest
+
+from repro.backend import DistributedBackend, ParallelBackend
+from repro.framework import MemoryMode, ReduceStrategy, run_job
+from repro.framework.api import MapReduceSpec
+from repro.framework.records import KeyValueSet
+from repro.gpu import DeviceConfig
+
+CFG = DeviceConfig.small(1)
+MESSAGE = "keys and values must be bytes"
+
+BACKENDS = [
+    pytest.param(lambda: "sim", id="sim"),
+    pytest.param(lambda: "fast", id="fast"),
+    pytest.param(lambda: "columnar", id="columnar"),
+    pytest.param(lambda: ParallelBackend(workers=2, min_records=0),
+                 id="parallel"),
+    pytest.param(lambda: DistributedBackend(workers=2, min_records=0),
+                 id="dist"),
+]
+
+BAD_EMITS = [
+    pytest.param(lambda k, v: (k, 5), id="int-value"),
+    pytest.param(lambda k, v: ("key", v), id="str-key"),
+]
+
+
+def _input(n=64):
+    inp = KeyValueSet()
+    for i in range(n):
+        inp.append(i.to_bytes(4, "little"), (i % 8).to_bytes(4, "little"))
+    return inp
+
+
+def _ident(key, value, emit, const):
+    emit(key.to_bytes(), value.to_bytes())
+
+
+def _run(spec, backend, strategy):
+    return run_job(spec, _input(), mode=MemoryMode.SIO, strategy=strategy,
+                   config=CFG, threads_per_block=64, backend=backend)
+
+
+def _messages(exc):
+    while exc is not None:
+        yield str(exc)
+        exc = exc.__cause__
+
+
+@pytest.mark.parametrize("make_backend", BACKENDS)
+@pytest.mark.parametrize("bad", BAD_EMITS)
+class TestRejected:
+    def test_from_map(self, make_backend, bad):
+        def m(key, value, emit, const):
+            emit(*bad(key.to_bytes(), value.to_bytes()))
+
+        spec = MapReduceSpec(name="bad_map", map_record=m)
+        with pytest.raises(Exception) as info:
+            _run(spec, make_backend(), None)
+        assert any(MESSAGE in msg for msg in _messages(info.value))
+
+    def test_from_reduce(self, make_backend, bad):
+        def r(key, values, emit, const):
+            emit(*bad(key.to_bytes(), values[0].to_bytes()))
+
+        spec = MapReduceSpec(name="bad_reduce", map_record=_ident,
+                             reduce_record=r)
+        with pytest.raises(Exception) as info:
+            _run(spec, make_backend(), ReduceStrategy.TR)
+        assert any(MESSAGE in msg for msg in _messages(info.value))
+
+
+@pytest.mark.parametrize("make_backend", BACKENDS)
+class TestBytearrayCopied:
+    def test_from_map(self, make_backend):
+        def m(key, value, emit, const):
+            buf = bytearray(value.to_bytes())
+            emit(bytearray(key.to_bytes()), buf)
+            buf[:] = b"XXXX"  # must not reach the output
+
+        spec = MapReduceSpec(name="ba_map", map_record=m)
+        res = _run(spec, make_backend(), None)
+        assert sorted(res.output) == sorted(_input())
+        assert all(type(k) is bytes and type(v) is bytes
+                   for k, v in res.output)
+
+    def test_from_reduce(self, make_backend):
+        def r(key, values, emit, const):
+            buf = bytearray(len(values).to_bytes(4, "little"))
+            emit(bytearray(key.to_bytes()), buf)
+            buf[:] = b"XXXX"
+
+        spec = MapReduceSpec(name="ba_reduce", map_record=_ident,
+                             reduce_record=r)
+        res = _run(spec, make_backend(), ReduceStrategy.TR)
+        want = [(k, (1).to_bytes(4, "little")) for k in _input().keys]
+        assert sorted(res.output) == want
+        assert all(type(k) is bytes and type(v) is bytes
+                   for k, v in res.output)

@@ -373,7 +373,7 @@ class TestLifecycle:
         backend.open = spy_open
         run_job(spec, inp, mode=MemoryMode.SIO, strategy=ReduceStrategy.TR,
                 config=CFG, backend=backend)
-        assert ctx_seen["ctx"].pool is None
+        assert ctx_seen["ctx"].executor is None
 
     def test_pool_released_on_error(self):
         def boom(key, value, emit, const):
@@ -394,7 +394,7 @@ class TestLifecycle:
         with pytest.raises(RuntimeError):
             run_job(spec, inp, mode=MemoryMode.SIO, config=CFG,
                     backend=backend)
-        assert ctx_seen["ctx"].pool is None
+        assert ctx_seen["ctx"].executor is None
 
     def test_backend_reusable_across_jobs(self):
         spec, inp = _wc()

@@ -6,7 +6,12 @@ import os
 
 import pytest
 
-from repro.backend import BACKENDS, DistributedBackend, get_backend
+from repro.backend import (
+    BACKENDS,
+    DistributedBackend,
+    ParallelBackend,
+    get_backend,
+)
 from repro.backend.distributed import (
     DEFAULT_SPLIT_BYTES,
     SPLIT_BYTES_ENV,
@@ -186,9 +191,23 @@ class TestExecutionPlumbing:
         assert recs[-1]["workers"] == 2
 
 
+#: Both transports of the sharded executor, forced onto their workers.
+SHARDED = [
+    pytest.param(lambda: DistributedBackend(workers=2, min_records=0),
+                 id="dist"),
+    pytest.param(lambda: ParallelBackend(workers=2, min_records=0),
+                 id="parallel"),
+]
+
+#: What a raising user kernel surfaces as: dist reports the worker's
+#: error as a FrameworkError, the pool re-raises the original.
+KERNEL_ERROR = {"dist": FrameworkError, "parallel": ValueError}
+
+
 class TestCloseReapsEverything:
-    """Satellite fix: ``backend.close()`` must reap worker processes
-    and sockets on *every* exit path, including a raising kernel."""
+    """``backend.close()`` must reap worker processes, sockets, pipes
+    and spill directories on *every* exit path, including a raising
+    kernel — on both transports."""
 
     kwargs = dict(mode=MemoryMode.SIO, strategy=None, config=CFG,
                   threads_per_block=64)
@@ -197,27 +216,58 @@ class TestCloseReapsEverything:
     def _fd_count():
         return len(os.listdir("/proc/self/fd"))
 
-    def test_raising_kernel_leaves_no_orphans_or_fds(self):
+    @pytest.mark.parametrize("make_backend", SHARDED)
+    def test_raising_kernel_leaves_no_orphans_or_fds(self, make_backend):
         def boom(key, value, emit, const):
             raise ValueError("scripted kernel failure")
 
         spec = MapReduceSpec(name="boom", map_record=boom)
         inp = _words()
         fd_before = self._fd_count()
-        b = DistributedBackend(workers=2, min_records=0)
-        with pytest.raises(FrameworkError, match="scripted kernel"):
+        b = make_backend()
+        with pytest.raises(KERNEL_ERROR[b.name], match="scripted kernel"):
             run_job(spec, inp, backend=b, **self.kwargs)
         # Every worker process reaped (active_children() also joins).
         assert multiprocessing.active_children() == []
         # Every socket and pipe released.
         assert self._fd_count() <= fd_before
 
-    def test_clean_run_leaves_no_orphans_or_fds(self):
+    @pytest.mark.parametrize("make_backend", SHARDED)
+    def test_clean_run_leaves_no_orphans_or_fds(self, make_backend):
         fd_before = self._fd_count()
-        b = DistributedBackend(workers=2, min_records=0)
+        b = make_backend()
         run_job(_ident_spec(), _words(), backend=b, **self.kwargs)
         assert multiprocessing.active_children() == []
         assert self._fd_count() <= fd_before
+
+    @pytest.mark.parametrize("make_backend", SHARDED)
+    @pytest.mark.parametrize("fail", [False, True],
+                             ids=["clean", "raising-reduce"])
+    def test_spill_root_left_empty(self, make_backend, fail, tmp_path,
+                                   monkeypatch):
+        def count(key, values, emit, const):
+            if fail:
+                raise ValueError("scripted reduce failure")
+            emit(key.to_bytes(), len(values).to_bytes(4, "little"))
+
+        spill_root = tmp_path / "spill"
+        spill_root.mkdir()
+        monkeypatch.setenv("REPRO_SPILL_DIR", str(spill_root))
+        spec = MapReduceSpec(name="count",
+                             map_record=_count_spec().map_record,
+                             reduce_record=count)
+        b = make_backend()
+        kwargs = dict(self.kwargs, strategy=ReduceStrategy.TR,
+                      store="spill", memory_budget=256)
+        if fail:
+            with pytest.raises(KERNEL_ERROR[b.name],
+                               match="scripted reduce"):
+                run_job(spec, _words(), backend=b, **kwargs)
+        else:
+            res = run_job(spec, _words(), backend=b, **kwargs)
+            assert res.reduce_stats.extra.get("spill_runs", 0) > 0
+        assert multiprocessing.active_children() == []
+        assert list(spill_root.iterdir()) == []
 
     def test_worker_death_still_reaps(self):
         fd_before = self._fd_count()

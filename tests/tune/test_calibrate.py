@@ -62,7 +62,7 @@ class TestLedgerSchema:
     def test_tuned_run_records_schema2_fields(self):
         spec, inp = synthetic_case("uniform", seed=0, scale=0.3)
         run_job(spec, inp, mode="auto", strategy="auto",
-                config=DeviceConfig.small(2))
+                config=DeviceConfig.small(2), backend="sim")
         (rec,) = read_ledger()
         assert rec["schema"] == SCHEMA
         assert rec["tuned"] is True

@@ -95,9 +95,9 @@ class TestReportTuner:
 
         spec, inp = synthetic_case("uniform", seed=0, scale=0.3)
         run_job(spec, inp, mode="auto", strategy="auto",
-                config=DeviceConfig.small(2))
+                config=DeviceConfig.small(2), backend="sim")
         run_job(spec, inp, mode="SIO", strategy="TR",
-                config=DeviceConfig.small(2))
+                config=DeviceConfig.small(2), backend="sim")
         assert report_main(["--tuner"]) == 0
         out = capsys.readouterr().out
         assert "1 autotuned run(s)" in out
