@@ -20,8 +20,11 @@ its phases:
   dict-of-lists group-by.  Fixed-width keys up to 8 bytes sort as one
   big-endian integer argsort (big-endian packing makes integer order
   equal lexicographic byte order); wider fixed keys lexsort 8-byte
-  limbs; variable-width keys fall back to Python's (stable) ``sorted``
-  so byte order is preserved exactly in every case;
+  limbs; variable-width keys hash-group first (one dict pass gives
+  each record a dense code), sort only the *distinct* keys with
+  Python's ``sorted`` (raw byte order), then order the records by one
+  stable integer argsort over their keys' ranks — the per-thread
+  hash-then-order shuffle of Lu et al.'s Xeon Phi runtime;
 * :class:`GroupedColumns` — the grouped intermediate: one entry per
   distinct key, an ``int64`` boundary array and the value column in
   group-major emission order.  Iterating it yields the same
@@ -149,13 +152,14 @@ class Column:
         return self.blob[off[i]:off[i + 1]]
 
     def tolist(self) -> list[bytes]:
-        blob, off = self.blob, self.offsets
-        return [blob[off[i]:off[i + 1]] for i in range(len(self.lengths))]
+        # One offsets.tolist() beats n numpy-scalar index operations.
+        blob, off = self.blob, self.offsets.tolist()
+        return [blob[a:b] for a, b in zip(off, off[1:])]
 
     def __iter__(self) -> Iterator[bytes]:
-        blob, off = self.blob, self.offsets
-        for i in range(len(self.lengths)):
-            yield blob[off[i]:off[i + 1]]
+        blob, off = self.blob, self.offsets.tolist()
+        for a, b in zip(off, off[1:]):
+            yield blob[a:b]
 
     # -- transforms ----------------------------------------------------
 
@@ -167,7 +171,8 @@ class Column:
             return Column(mat.tobytes(),
                           np.full(len(order), w, dtype=np.int64))
         items = self.tolist()
-        return Column.from_list([items[i] for i in order])
+        return Column(b"".join([items[i] for i in order.tolist()]),
+                      self.lengths[order])
 
     @classmethod
     def concat(cls, columns: Sequence["Column"]) -> "Column":
@@ -275,18 +280,28 @@ def sort_and_group(keys: Column) -> tuple[np.ndarray, np.ndarray, bool]:
     keep emission order); ``starts`` is an ``int64`` array of group
     start indices into the sorted order, with a final ``n`` sentinel
     (``len(starts) - 1`` groups); ``vectorized`` reports whether the
-    array fast path ran (fixed-width keys) or the Python fallback
-    (ragged keys) did.
+    all-array path ran (fixed-width keys) or the hash-then-sort path
+    for ragged keys did, which needs one Python pass over the keys.
     """
+    order, starts, _, vectorized = _sort_group(keys)
+    return order, starts, vectorized
+
+
+def _sort_group(keys: Column
+                ) -> tuple[np.ndarray, np.ndarray, list[bytes] | None, bool]:
+    """:func:`sort_and_group` plus, for ragged keys, the distinct keys
+    in ascending byte order (the group keys, already at hand there);
+    ``None`` for fixed-width keys, whose group keys are a cheap
+    vectorized gather."""
     n = len(keys)
     if n == 0:
         return (np.zeros(0, dtype=np.int64),
-                np.zeros(1, dtype=np.int64), True)
+                np.zeros(1, dtype=np.int64), None, True)
     w = keys.fixed_width
     if w == 0:
         # Every key is b"": one group, emission order.
         return (np.arange(n, dtype=np.int64),
-                np.array([0, n], dtype=np.int64), True)
+                np.array([0, n], dtype=np.int64), None, True)
     if w is not None and w <= 8:
         ints = _key_limbs(keys).reshape(n)
         order = np.argsort(ints, kind="stable").astype(np.int64, copy=False)
@@ -296,7 +311,7 @@ def sort_and_group(keys: Column) -> tuple[np.ndarray, np.ndarray, bool]:
             np.zeros(1, dtype=np.int64), bounds.astype(np.int64),
             np.array([n], dtype=np.int64),
         ))
-        return order, starts, True
+        return order, starts, None, True
     if w is not None:
         limbs = _key_limbs(keys)
         # lexsort: last key is most significant; each pass is stable,
@@ -310,21 +325,26 @@ def sort_and_group(keys: Column) -> tuple[np.ndarray, np.ndarray, bool]:
             np.zeros(1, dtype=np.int64), bounds.astype(np.int64),
             np.array([n], dtype=np.int64),
         ))
-        return order, starts, True
-    # Ragged keys: Python's sorted is stable and compares raw bytes.
-    items = keys.tolist()
-    order = np.fromiter(
-        sorted(range(n), key=items.__getitem__), dtype=np.int64, count=n
-    )
-    starts = [0]
-    prev = items[order[0]]
-    for pos in range(1, n):
-        cur = items[order[pos]]
-        if cur != prev:
-            starts.append(pos)
-            prev = cur
-    starts.append(n)
-    return order, np.array(starts, dtype=np.int64), False
+        return order, starts, None, True
+    # Ragged keys: hash first — one dict pass gives every record the
+    # dense first-seen code of its key — then sort only the distinct
+    # keys (Python's sorted compares raw bytes) and map codes to ranks.
+    codes: dict[bytes, int] = {}
+    first_seen = codes.setdefault
+    code = np.array([first_seen(k, len(codes)) for k in keys.tolist()],
+                    dtype=np.int64)
+    distinct = list(codes)
+    m = len(distinct)
+    by_key = sorted(range(m), key=distinct.__getitem__)
+    # The narrowest rank dtype lets the stable argsort radix-sort.
+    rank_dtype = np.min_scalar_type(m - 1)
+    rank = np.empty(m, dtype=rank_dtype)
+    rank[by_key] = np.arange(m, dtype=rank_dtype)
+    ranks = rank[code]
+    order = np.argsort(ranks, kind="stable").astype(np.int64, copy=False)
+    starts = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ranks, minlength=m), out=starts[1:])
+    return order, starts, [distinct[i] for i in by_key], False
 
 
 class GroupedColumns:
@@ -347,16 +367,16 @@ class GroupedColumns:
         self.values = values
         #: Producing store's StoreStats (spill accounting), if any.
         self.stats = stats
-        #: Did the array sort path run (vs the ragged-key fallback)?
+        #: Did the all-array sort path run (vs ragged hash-then-sort)?
         self.vectorized = vectorized
 
     @classmethod
     def from_batch(cls, cols: ColumnBatch, *, stats=None
                    ) -> "GroupedColumns":
-        order, starts, vectorized = sort_and_group(cols.keys)
-        first = order[starts[:-1]]
+        order, starts, distinct, vectorized = _sort_group(cols.keys)
         return cls(
-            keys=cols.keys.take(first),
+            keys=(Column.from_list(distinct) if distinct is not None
+                  else cols.keys.take(order[starts[:-1]])),
             offsets=starts,
             values=cols.values.take(order),
             stats=stats,
@@ -378,9 +398,7 @@ class GroupedColumns:
     def __iter__(self) -> Iterator[tuple[bytes, list[bytes]]]:
         """Scalar view: ``(key, [value, ...])`` per group — the exact
         stream the scalar Reduce loop consumes."""
-        vals = self.values
-        off = self.offsets
-        for g in range(len(self.keys)):
-            yield self.keys.at(g), [
-                vals.at(i) for i in range(off[g], off[g + 1])
-            ]
+        vals = self.values.tolist()
+        off = self.offsets.tolist()
+        for key, lo, hi in zip(self.keys, off, off[1:]):
+            yield key, vals[lo:hi]

@@ -30,6 +30,7 @@ from ..errors import FrameworkError
 from ..framework.job import run_job
 from ..framework.modes import MemoryMode, ReduceStrategy, \
     resolve_mode_name, resolve_strategy_name
+from ..gpu.analysis_cache import clear_all_caches
 from ..gpu.config import DeviceConfig
 from ..store import parse_budget, resolve_budget
 from ..workloads import ALL_WORKLOADS, EXTRA_WORKLOADS, Workload
@@ -263,6 +264,12 @@ def main(argv: list[str] | None = None) -> int:
     # Report mode: collect every finding rather than raising on the
     # first one — the CLI's exit status carries the verdict.
     check = "report" if args.check else None
+    # Start every run on cold analysis caches: the memo tables are
+    # process-wide, so a warm start (an earlier run in this process)
+    # would change the per-kernel analysis-cache counters and break
+    # the byte-stability of metrics.json.  Results are unaffected —
+    # the caches are exact.
+    clear_all_caches()
     if args.mars:
         from ..mars.framework import run_mars_job
 

@@ -9,6 +9,8 @@ streamed and Mars jobs under columnar, and the observability counters
 (KernelStats extras + ledger fields).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.backend import BACKENDS, ColumnarBackend, FastBackend, get_backend
@@ -22,7 +24,9 @@ from repro.framework import ReduceStrategy, run_job, run_streamed_job
 from repro.framework.api import MapReduceSpec
 from repro.framework.columns import Column, ColumnBatch
 from repro.framework.records import KeyValueSet
+from repro.gpu.accessor import host_accessor
 from repro.workloads import Histogram, KMeans, WordCount
+from repro.workloads.wordcount import wc_map, wc_map_batch
 
 
 def _ident(key, value, emit, const):
@@ -112,13 +116,15 @@ class TestBatchKernelContract:
         assert col.reduce_stats.extra["columnar_reduce_vectorized"] == 0
 
     def test_reduce_batch_only_with_scalar_map(self):
-        """WordCount's shape: ragged Map stays scalar, Reduce runs the
-        batch kernel over the grouped columns."""
+        """WordCount's Reduce kernel without its batch Map: the scalar
+        Map feeds ragged keys, Reduce runs the batch kernel over the
+        grouped columns."""
         wl = WordCount()
         inp = wl.generate("small", seed=2, scale=0.2)
-        col = run_job(wl.spec(), inp, strategy=ReduceStrategy.TR,
+        spec = dataclasses.replace(wl.spec(), map_batch=None)
+        col = run_job(spec, inp, strategy=ReduceStrategy.TR,
                       backend=FastBackend(columnar=True))
-        scalar = run_job(wl.spec(), inp, strategy=ReduceStrategy.TR,
+        scalar = run_job(spec, inp, strategy=ReduceStrategy.TR,
                          backend="fast")
         assert col.output == scalar.output
         assert col.map_stats.extra["columnar_map_vectorized"] == 0
@@ -186,6 +192,63 @@ class TestBatchKernelContract:
                          backend="fast")
         assert col.output == scalar.output
         assert col.reduce_stats.extra["columnar_reduce_vectorized"] == 0
+
+
+def _wc_map_scalar(lines):
+    """The scalar Map's emissions, the reference for the batch kernel."""
+    keys, vals = [], []
+
+    def emit(k, v):
+        keys.append(k)
+        vals.append(v)
+
+    for line in lines:
+        wc_map(host_accessor(line), host_accessor(b""), emit, None)
+    return keys, vals
+
+
+class TestWordCountBatchMap:
+    CASES = {
+        "plain": [b"the cat sat", b"on the mat"],
+        "edge_spaces": [b"  lead", b"trail  ", b"a  b   c", b" x "],
+        "empty_lines": [b"", b"one", b"", b"", b"two words", b""],
+        "all_space_lines": [b"   ", b" ", b"a b", b"    "],
+        "no_words": [b"", b"  ", b" ", b""],
+        "no_lines": [],
+        "non_space_bytes": [b"a\tb c", b"\x00 \x00\x00", b"\xff\xfe x",
+                            b"\t \n", b"caf\xc3\xa9 \xff"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_scalar_map(self, name):
+        lines = self.CASES[name]
+        cols = ColumnBatch.from_lists(
+            lines, [i.to_bytes(4, "little") for i in range(len(lines))])
+        out = wc_map_batch(cols)
+        want_keys, want_vals = _wc_map_scalar(lines)
+        assert out.keys.tolist() == want_keys
+        assert out.values.tolist() == want_vals
+
+    def test_batch_boundaries_mid_input(self, monkeypatch):
+        monkeypatch.setenv(COLUMNAR_BATCH_ENV, "7")
+        wl = WordCount()
+        inp = wl.generate("small", seed=3, scale=0.2)
+        col = run_job(wl.spec(), inp, strategy=ReduceStrategy.TR,
+                      backend=FastBackend(columnar=True))
+        scalar = run_job(wl.spec(), inp, strategy=ReduceStrategy.TR,
+                         backend="fast")
+        assert col.output == scalar.output
+        assert col.map_stats.extra["columnar_batches"] == -(-len(inp) // 7)
+
+    def test_medium_map_fully_vectorized(self):
+        wl = WordCount()
+        inp = wl.generate("medium", seed=0)
+        res = run_job(wl.spec(), inp, strategy=ReduceStrategy.TR,
+                      backend=FastBackend(columnar=True))
+        extra = res.map_stats.extra
+        assert extra["columnar_map_fallback"] == 0
+        assert extra["columnar_map_vectorized"] == extra["columnar_batches"]
+        assert extra["columnar_batches"] >= 1
 
 
 class TestJobShapes:

@@ -117,6 +117,45 @@ class TestSortAndGroup:
         g = self._check(keys)
         assert not g.vectorized
 
+    #: Keys that differ only by trailing NULs, high bytes, emptiness
+    #: or a shared prefix — where any length- or padding-based shortcut
+    #: would misorder or merge groups.
+    HAZARD_KEYS = [b"", b"a", b"a\x00", b"a\x00\x00", b"\xff", b"ab",
+                   b"ab\x00", b"abc", b"a\xff", b"b", b"\x00", b"\xff\x00"]
+
+    @staticmethod
+    def _reference(items):
+        """The reference stable sort and its group starts."""
+        order = sorted(range(len(items)), key=items.__getitem__)
+        starts = [pos for pos in range(len(order))
+                  if pos == 0 or items[order[pos]] != items[order[pos - 1]]]
+        return order, starts + [len(items)]
+
+    @pytest.mark.parametrize("shape", ["single", "distinct", "mixed"])
+    def test_ragged_grouping_matches_reference_sort(self, shape):
+        rng = np.random.default_rng(1234)
+        for _ in range(25):
+            pool = list(self.HAZARD_KEYS) + [
+                bytes(rng.choice([0x00, 0x61, 0x62, 0xFF],
+                                 size=int(rng.integers(0, 5))).tolist())
+                for _ in range(8)
+            ]
+            if shape == "single":
+                items = [pool[int(rng.integers(len(pool)))]] * int(
+                    rng.integers(1, 40))
+            elif shape == "distinct":
+                items = list(dict.fromkeys(pool))
+                rng.shuffle(items)
+            else:
+                items = [pool[int(i)] for i in
+                         rng.integers(0, len(pool), size=int(
+                             rng.integers(1, 200)))]
+            order, starts, _ = sort_and_group(Column.from_list(items))
+            want_order, want_starts = self._reference(items)
+            assert order.tolist() == want_order
+            assert starts.tolist() == want_starts
+            self._check(items)
+
     def test_empty_key_column_single_group(self):
         g = self._check([b"", b"", b""])
         assert len(g) == 1
