@@ -32,9 +32,10 @@ Two artifacts, committed at the repo root as the PRs' perf evidence:
   socket workers) vs FastBackend, sweeping worker counts, plus a
   fault-recovery leg (one scripted mid-job worker kill at 2 workers).
   Informational — dist prices fault tolerance, not speed: every pair
-  crosses a JSON socket frame, so on a small single-host job the
-  honest number is *below* 1x; what the artifact shows is how much a
-  worker death costs on top (outputs cross-checked per case).
+  crosses a socket (as binary record columns), so on a small
+  single-host job the honest number is *below* 1x; what the artifact
+  shows is how much a worker death costs on top (outputs cross-checked
+  per case).
 
 Usage::
 
@@ -413,7 +414,9 @@ def bench_dist(out_path: str, repeats: int, workers: list[int]) -> int:
     then times the sweep.  The fault-recovery leg runs at 2 workers
     with one scripted kill halfway through the input, pricing a
     worker death — re-execution, rescheduling and all — against the
-    faultless dist run.
+    faultless dist run.  It pins task placement (``deterministic``):
+    under first-idle-wins scheduling the faster worker can take most
+    splits, and worker 0 may never reach the kill point.
     """
     from repro.backend import DistributedBackend
     from repro.dist import FaultPlan
@@ -458,7 +461,7 @@ def bench_dist(out_path: str, repeats: int, workers: list[int]) -> int:
 
         plan = FaultPlan.kill(0, max(1, len(inp) // 2), phase="map")
         faulted = DistributedBackend(workers=2, min_records=0,
-                                     fault_plan=plan)
+                                     fault_plan=plan, deterministic=True)
         fres = run_job(spec, inp, mode=MemoryMode.SIO, strategy=strategy,
                        backend=faulted)
         identical = fres.output == fast_res.output
@@ -482,8 +485,9 @@ def bench_dist(out_path: str, repeats: int, workers: list[int]) -> int:
 
     doc = {
         "description": "Wall-clock: DistributedBackend (coordinator + "
-                       "socket workers, plain pairs over length-"
-                       "prefixed JSON frames) vs FastBackend, mode=SIO, "
+                       "socket workers; record batches travel as "
+                       "binary blob + u32-length columns behind a JSON "
+                       "control header) vs FastBackend, mode=SIO, "
                        "best of N runs, outputs cross-checked per case. "
                        " Informational: dist prices fault tolerance — "
                        "socket serialisation makes sub-1x the honest "

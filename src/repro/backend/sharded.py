@@ -7,12 +7,13 @@ related work (Lu et al.'s Xeon Phi runtime):
 
 * **Map** — the input is cut into contiguous tasks; each worker maps
   its task with :func:`repro.framework.tasks.map_task` and ships back
-  plain pairs, per-key partial accumulators (BR partial combine), or
+  its emissions, per-key partial accumulators (BR partial combine), or
   the paths of the spill runs it wrote.
 * **Shuffle** — the coordinator merges the task results in task order
-  (= input order) and groups by key, sorted by key bytes exactly like
-  the fast backend and the device's sort-based shuffle; spilled runs
-  merge-stream without ever being loaded whole.
+  (= input order) with ``KeyValueSet.extend`` and groups by key,
+  sorted by key bytes exactly like the fast backend and the device's
+  sort-based shuffle; spilled runs merge-stream without ever being
+  loaded whole.
 * **Reduce** — the sorted groups are cut into contiguous key ranges
   (a lazy spill-merge stream into :data:`STREAM_REDUCE_BATCH`-group
   chunks pulled as workers come free); outputs concatenate in range
@@ -24,6 +25,10 @@ per-key value lists keep emission order and the output is
 partial combine, which regroups the fold, so float accumulators can
 differ in the last bit — the tolerance the differential suite applies.
 
+Record batches in task payloads and results — a Map task's input
+slice, a task's emissions, a Reduce task's output — are
+:class:`~repro.framework.records.KeyValueSet` objects on both
+transports; only the way they cross the process boundary differs.
 What the transports supply (everything else lives here once):
 
 ===============  =========================  ==========================
@@ -31,6 +36,10 @@ transport        ``parallel:N``             ``dist:N``
 ===============  =========================  ==========================
 executor         ``fork`` process ``Pool``  ``repro.dist.Cluster`` of
                                             socket workers
+record batches   pickled ``KeyValueSet``    binary blob + ``<u4``
+                                            lengths columns behind a
+                                            JSON control header
+                                            (:mod:`repro.dist.wire`)
 Map tasks        N balanced shards          64 KiB byte splits
 Reduce ranges    N                          2 x N
 partial combine  BR jobs, memory store      never (byte-identical
@@ -369,7 +378,7 @@ class ShardedBackend(ExecutionBackend):
         tasks = []
         for shard, (lo, hi) in enumerate(self._split_slices(d_in)):
             task: dict[str, Any] = {
-                "pairs": list(zip(keys[lo:hi], vals[lo:hi]))
+                "pairs": KeyValueSet.from_lists(keys[lo:hi], vals[lo:hi])
             }
             if spill is not None:
                 task["spill"] = spill
@@ -396,10 +405,8 @@ class ShardedBackend(ExecutionBackend):
                                 emit_count=emit_count)
         else:
             out = KeyValueSet()
-            append = out.append_unchecked
             for r in results:  # task order = input order
-                for k, v in r["pairs"]:
-                    append(k, v)
+                out.extend(r["pairs"])
             handle = _MapOutput(pairs=out, combined=None,
                                 emit_count=emit_count)
         stats = self._phase_stats(ctx, before, records_in=len(d_in),
@@ -470,10 +477,8 @@ class ShardedBackend(ExecutionBackend):
         profiles = self._record_profiles(ctx, tr, "reduce", results)
 
         out = KeyValueSet()
-        append = out.append_unchecked
         for r in results:  # range order = sorted key order
-            for k, v in r["pairs"]:
-                append(k, v)
+            out.extend(r["pairs"])
         stats = self._phase_stats(
             ctx, before,
             records_in=sum(p.records_in for p in profiles),

@@ -39,6 +39,9 @@ A worker reporting a *kernel* error (the user's Map/Reduce raised) is
 not a fault to retry — the same code would fail identically anywhere
 — so the coordinator aborts the job with a
 :class:`~repro.errors.FrameworkError` instead of burning attempts.
+A worker sending a frame that does not parse (see
+:mod:`repro.dist.wire`) aborts the job the same way, naming the
+worker.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 from ..errors import FrameworkError
 from . import worker as worker_mod
 from .faults import FaultPlan
-from .wire import FrameReader, recv_msg, send_msg
+from .wire import ConnectionClosed, FrameReader, recv_msg, send_msg
 
 #: A shard is abandoned after this many attempts (initial + retries).
 DEFAULT_MAX_ATTEMPTS = 4
@@ -392,8 +395,13 @@ class Cluster:
             self._on_worker_death(h, phase, pending, done)
             return
         h.reader.feed(data)
-        for msg in h.reader.frames():
-            self._on_message(h, msg, phase, done, durations)
+        try:
+            for msg in h.reader.frames():
+                self._on_message(h, msg, phase, done, durations)
+        except ConnectionClosed as exc:
+            raise FrameworkError(
+                f"worker {h.idx} sent a malformed frame: {exc}"
+            ) from exc
 
     def _on_message(self, h: _WorkerHandle, msg: dict, phase: str,
                     done: dict, durations: list[float]) -> None:

@@ -82,6 +82,27 @@ class KeyValueSet:
         for k, v in records:
             self.append(k, v)
 
+    @classmethod
+    def from_lists(cls, keys: list[bytes], values: list[bytes]
+                   ) -> "KeyValueSet":
+        """Adopt two equal-length lists of exact ``bytes`` as the key
+        and value columns — no validation, no copy: the caller hands
+        the lists over."""
+        if len(keys) != len(values):
+            raise FrameworkError(
+                f"{len(keys)} keys but {len(values)} values"
+            )
+        out = cls()
+        out._keys = keys
+        out._vals = values
+        return out
+
+    def extend(self, other: "KeyValueSet") -> None:
+        """Append every record of ``other`` in order, column-wise (no
+        per-record work; ``other`` already holds validated records)."""
+        self._keys.extend(other._keys)
+        self._vals.extend(other._vals)
+
     def append(self, key: bytes, value: bytes) -> None:
         if type(key) is not bytes or type(value) is not bytes:
             key, value = checked_record(key, value)

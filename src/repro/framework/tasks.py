@@ -8,21 +8,27 @@ worker and how the result comes back.  The job is passed explicitly as
 a ``(spec, strategy, is_mars)`` triple that each worker process
 inherits by ``fork`` (so user closures never need pickling), and a
 task is a plain-data dict — it crosses a pool queue pickled or a
-socket JSON-framed unchanged:
+socket as binary record columns (:mod:`repro.dist.wire`).  Every
+record batch in a task or a result is a
+:class:`~repro.framework.records.KeyValueSet` (the pool pickles its
+two lists; the wire ships them as blob + lengths columns), except the
+reduce task's groups:
 
-* **Map** — ``{"pairs": [(key, value), ...]}``, optionally with
-  ``"combine": True`` (collapse BR emissions to one ``(accumulator,
-  count)`` per distinct key before shipping) or ``"spill": [run_dir,
-  budget]`` (land emissions in a :class:`~repro.store.SpillStore`
-  and ship only its run paths).
+* **Map** — ``{"pairs": KeyValueSet}`` (any iterable of ``(key,
+  value)`` also works), optionally with ``"combine": True`` (collapse
+  BR emissions to one ``(accumulator, count)`` per distinct key before
+  shipping) or ``"spill": [run_dir, budget]`` (land emissions in a
+  :class:`~repro.store.SpillStore` and ship only its run paths).
 * **Reduce** — ``{"groups": [(key, [value, ...]), ...]}``, or partial
   accumulators ``(key, [(acc, count), ...])`` with ``"combined":
-  True``.
+  True`` (pool transport only: partial accumulators never cross the
+  socket wire).
 
 Every result carries a ``"profile"`` dict whose keys are
 :class:`~repro.obs.telemetry.ShardProfile` fields (the coordinator
-adds ``phase`` and ``shard``), plus the payload: ``"pairs"``,
-``"combined"`` or ``"spilled"``.
+adds ``phase`` and ``shard``), plus the payload: ``"pairs"`` (a
+:class:`~repro.framework.records.KeyValueSet`), ``"combined"`` or
+``"spilled"``.
 
 ``tick`` is the fault-injection hook: when given it is called once per
 input record (Map) or value (Reduce) before that record is processed.
@@ -39,7 +45,7 @@ from typing import Callable, Iterable
 from ..gpu.accessor import Accessor, host_accessor
 from ..store import SpillStore
 from .modes import ReduceStrategy
-from .records import checked_emit, collecting_emit
+from .records import KeyValueSet, checked_emit
 
 
 def run_task(job: tuple, phase: str, shard: int, task: dict,
@@ -89,14 +95,13 @@ def map_task(spec, shard: int, task: dict,
                                 spilled_bytes=st.spilled_bytes),
         }
 
-    out: list[tuple[bytes, bytes]] = []
-    emit = collecting_emit(out)
+    out = KeyValueSet()
+    emit = checked_emit(out.append_unchecked)
     for k, v in pairs:
         map_record(host_accessor(k), host_accessor(v), emit, const)
     if not task.get("combine"):
         return {"pairs": out,
-                "profile": _profile(t0, n_in, len(out),
-                                    len({k for k, _ in out}))}
+                "profile": _profile(t0, n_in, len(out), len(set(out.keys)))}
     t_combine = time.perf_counter_ns()
     combine = spec.combine
     acc: dict[bytes, tuple[bytes, int]] = {}
@@ -116,7 +121,7 @@ def reduce_task(spec, strategy, is_mars: bool, shard: int, task: dict,
     groups = task["groups"]
     n_groups = len(groups)
     t0 = time.perf_counter_ns()
-    out: list[tuple[bytes, bytes]] = []
+    out = KeyValueSet()
     combined = task.get("combined", False)
     if combined:
         n_values = sum(c for _, parts in groups for _, c in parts)
@@ -130,14 +135,14 @@ def reduce_task(spec, strategy, is_mars: bool, shard: int, task: dict,
         for key, parts in groups:
             acc = _fold(combine, (a for a, _ in parts))
             k_out, v_out = finalize(key, acc, sum(c for _, c in parts))
-            out.append((bytes(k_out), bytes(v_out)))
+            out.append_unchecked(bytes(k_out), bytes(v_out))
     elif strategy is ReduceStrategy.BR and not is_mars:
         combine, finalize = spec.combine, spec.finalize
         for key, values in groups:
             k_out, v_out = finalize(key, _fold(combine, values), len(values))
-            out.append((bytes(k_out), bytes(v_out)))
+            out.append_unchecked(bytes(k_out), bytes(v_out))
     else:
-        emit = collecting_emit(out)
+        emit = checked_emit(out.append_unchecked)
         const = host_accessor(spec.const_bytes) if spec.const_bytes else None
         reduce_record = spec.reduce_record
         # Values repeat massively (Word Count's 1s): memoise accessors.

@@ -17,7 +17,9 @@ from repro.backend.distributed import (
     SPLIT_BYTES_ENV,
     resolve_split_bytes,
 )
-from repro.dist import FaultPlan, WorkerFault
+from repro.dist import Cluster, FaultPlan, WorkerFault
+from repro.dist import worker as worker_mod
+from repro.dist.wire import MAX_FRAME, encode
 from repro.errors import FrameworkError
 from repro.framework import MemoryMode, ReduceStrategy, run_job
 from repro.framework.api import MapReduceSpec
@@ -277,3 +279,43 @@ class TestCloseReapsEverything:
         assert multiprocessing.active_children() == []
         assert self._fd_count() <= fd_before
         assert b.last_counters["worker_deaths"] == 1
+
+
+def _truncated_frame(msg) -> bytes:
+    """A frame whose length prefix is honest but whose record sections
+    are one byte short of what the header promises."""
+    frame = encode(msg)[:-1]
+    return (len(frame) - 4).to_bytes(4, "big") + frame[4:]
+
+
+def _oversized_prefix(msg) -> bytes:
+    return (MAX_FRAME + 1).to_bytes(4, "big")
+
+
+class TestMalformedWorkerFrames:
+    """A worker whose reply does not parse fails the phase with a
+    FrameworkError naming that worker — never a raw ConnectionClosed."""
+
+    @pytest.mark.parametrize("corrupt", [_truncated_frame, _oversized_prefix],
+                             ids=["truncated-sections", "bad-length-prefix"])
+    def test_corrupt_reply_names_the_worker(self, monkeypatch, corrupt):
+        real_send = worker_mod.send_msg
+
+        def corrupt_results(sock, msg):
+            if msg.get("type") == "result":
+                sock.sendall(corrupt(msg))
+            else:
+                real_send(sock, msg)
+
+        # Patched before start(): the forked workers inherit it.
+        monkeypatch.setattr(worker_mod, "send_msg", corrupt_results)
+        cluster = Cluster(1)
+        cluster.start(_ident_spec(), None, False)
+        try:
+            with pytest.raises(FrameworkError,
+                               match="worker 0 sent a malformed frame"):
+                cluster.run_phase(
+                    "map", [(0, {"pairs": KeyValueSet([(b"k", b"v")])})])
+        finally:
+            cluster.shutdown()
+        assert multiprocessing.active_children() == []

@@ -1,5 +1,7 @@
 """Tests for record sets, device images, and output buffers."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +58,39 @@ class TestKeyValueSet:
         assert a == b
         b.append(b"x", b"y")
         assert a != b
+
+    def test_from_lists_adopts_columns(self):
+        keys, vals = [b"a", b""], [b"\x00", b"\xff"]
+        kvs = KeyValueSet.from_lists(keys, vals)
+        assert list(kvs) == [(b"a", b"\x00"), (b"", b"\xff")]
+        assert kvs.keys is keys and kvs.values is vals
+
+    def test_from_lists_rejects_ragged_columns(self):
+        with pytest.raises(FrameworkError):
+            KeyValueSet.from_lists([b"a", b"b"], [b"1"])
+
+    def test_extend_appends_in_order(self):
+        out = KeyValueSet([(b"a", b"1")])
+        out.extend(KeyValueSet([(b"b", b"2"), (b"a", b"3")]))
+        out.extend(KeyValueSet())
+        assert list(out) == [(b"a", b"1"), (b"b", b"2"), (b"a", b"3")]
+
+    def test_extend_leaves_source_untouched(self):
+        src = KeyValueSet([(b"k", b"v")])
+        out = KeyValueSet()
+        out.extend(src)
+        out.append(b"x", b"y")
+        assert list(src) == [(b"k", b"v")]
+
+    @given(records_strategy)
+    @settings(max_examples=30, deadline=None)
+    def test_pickle_round_trip(self, records):
+        # The pool transport ships task payloads and results pickled.
+        kvs = KeyValueSet(records)
+        back = pickle.loads(pickle.dumps(kvs))
+        assert back == kvs
+        assert all(type(k) is bytes for k in back.keys)
+        assert all(type(v) is bytes for v in back.values)
 
 
 class TestDeviceRecordSet:
