@@ -83,8 +83,13 @@ def _best_of(spec, inp, backend: str, repeats: int) -> tuple[float, float]:
 #: measurement (this tree, a --compare-tree baseline, sim or fast
 #: backend) goes through the identical harness, so numbers are
 #: comparable and cases cannot interfere through shared heap state.
+#: Backend ``fast`` times the record loop (the spec with its batch
+#: kernels stripped): the per-record Python the simulator runs too,
+#: which keeps sim/fast a simulator-overhead ratio.  ``fast-batch``
+#: times the spec as shipped, batch kernels included.
 _MEASURE_CODE = """
 import sys, time
+from dataclasses import replace
 sys.path.insert(0, sys.argv[1] + "/src")
 from repro.framework.job import run_job
 from repro.framework.modes import MemoryMode, ReduceStrategy
@@ -92,10 +97,15 @@ from repro.workloads import KMeans, WordCount
 w = {"wordcount": WordCount, "kmeans": KMeans}[sys.argv[2]]()
 inp = w.generate(sys.argv[3], seed=0)
 spec = w.spec_for_size(sys.argv[3], seed=0)
+backend = sys.argv[5]
+if backend == "fast-batch":
+    backend = "fast"
+else:
+    spec = replace(spec, map_batch=None, reduce_batch=None)
 
 def run():
     run_job(spec, inp, mode=MemoryMode.SIO, strategy=ReduceStrategy.TR,
-            backend=sys.argv[5])
+            backend=backend)
 
 run()  # warm caches / imports / allocator
 wall = cpu = float("inf")

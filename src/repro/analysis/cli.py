@@ -258,12 +258,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--mps", type=int, default=0,
                    help="simulate this many MPs instead of the full 30")
     p.add_argument("--backend", default=None,
-                   choices=["sim", "fast", "parallel", "columnar", "dist"],
+                   choices=["sim", "fast", "parallel", "dist"],
                    help="execution backend for 'validate' (timing "
                         "commands always simulate)")
-    p.add_argument("--columnar", action="store_true",
-                   help="shorthand for --backend columnar (the fast "
-                        "backend's vectorized path) on 'validate'")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes for --backend parallel/dist")
     p.add_argument("--store", default=None, choices=["memory", "spill"],
@@ -309,12 +306,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.check:
         os.environ["REPRO_CHECK"] = "1"
-    if args.columnar:
-        if args.backend in ("sim", "parallel", "dist"):
-            print("repro-bench: --columnar needs the fast backend "
-                  "(--backend fast or columnar)", file=sys.stderr)
-            return 2
-        args.backend = "columnar"
     if args.backend and args.command != "validate":
         print("repro-bench: --backend only applies to 'validate' — every "
               "timing command needs the cycle-accurate simulator",

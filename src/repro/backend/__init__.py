@@ -8,19 +8,17 @@ are orthogonal to *how* they execute.  A
 
 * ``"sim"``  — :class:`SimBackend`: the cycle-accurate discrete-event
   simulator.  Use it for every timing figure; it is the paper.
-* ``"fast"`` — :class:`FastBackend`: a dict-based functional executor
-  that skips warp-level simulation.  Orders of magnitude faster; use
-  it for correctness runs, large inputs and development loops.
+* ``"fast"`` — :class:`FastBackend`: a functional executor that skips
+  warp-level simulation.  Orders of magnitude faster; use it for
+  correctness runs, large inputs and development loops.  Workloads
+  that ship batch kernels (``map_batch`` / ``reduce_batch``) run them
+  over numpy columns with a column group-by; the rest run the record
+  loop and a dict group-by.  No option chooses between the two.
 * ``"parallel"`` — :class:`ParallelBackend`: the sharded executor
   (:mod:`repro.backend.sharded`) over a ``fork`` process pool, with
   per-shard partial combining and a key-range-partitioned Reduce.
   ``"parallel:N"`` pins the worker count; plain ``"parallel"``
   honours ``$REPRO_WORKERS`` and defaults to the CPU count.
-* ``"columnar"`` — :class:`ColumnarBackend`: the fast executor pinned
-  to the vectorized columnar path (batched numpy Map/Shuffle/Reduce
-  via each workload's ``map_batch``/``reduce_batch`` kernels, scalar
-  fallback otherwise).  Equivalent to ``FastBackend(columnar=True)``
-  or ``$REPRO_COLUMNAR=1``.
 * ``"dist"`` — :class:`DistributedBackend`: the same sharded
   executor over socket-connected worker processes driven by a
   coordinator, with GFS-style map splits, worker-death re-execution,
@@ -30,7 +28,8 @@ are orthogonal to *how* they execute.  A
 
 Select per call (``run_job(..., backend="fast")``), or process-wide
 with the ``REPRO_BACKEND`` environment variable (read when a driver is
-called with ``backend=None``).
+called with ``backend=None``).  ``"columnar"`` is an alias of
+``"fast"``, kept so older benchmark labels still resolve.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from ..errors import FrameworkError
 from .base import ExecutionBackend
 from .core import execute_plan, execute_streamed
 from .distributed import DistributedBackend
-from .fast import ColumnarBackend, FastBackend
+from .fast import FastBackend
 from .parallel import ParallelBackend
 from .plan import ENGINE_MARS, ENGINE_SHARED, BatchPolicy, JobPlan
 from .sim import SimBackend
@@ -51,8 +50,8 @@ BACKENDS: dict[str, type[ExecutionBackend]] = {
     SimBackend.name: SimBackend,
     FastBackend.name: FastBackend,
     ParallelBackend.name: ParallelBackend,
-    ColumnarBackend.name: ColumnarBackend,
     DistributedBackend.name: DistributedBackend,
+    "columnar": FastBackend,
 }
 
 #: Environment variable consulted when ``backend=None``.
@@ -103,7 +102,6 @@ __all__ = [
     "BACKENDS",
     "BACKEND_ENV",
     "BatchPolicy",
-    "ColumnarBackend",
     "DistributedBackend",
     "ENGINE_MARS",
     "ENGINE_SHARED",

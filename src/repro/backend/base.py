@@ -6,18 +6,17 @@ upload, Map, Shuffle, Reduce, and charged output download — plus the
 uncharged host/device conversions the streamed driver needs between
 its batched Map and the Shuffle.
 
-Five implementations ship:
+Four implementations ship:
 
 * :class:`repro.backend.sim.SimBackend` — the cycle-accurate
   discrete-event simulator (the paper's numbers).  Intermediate
   handles are :class:`~repro.framework.records.DeviceRecordSet`
   images in simulated global memory.
-* :class:`repro.backend.fast.FastBackend` — a dict-based functional
-  executor that skips warp-level simulation entirely.  Handles are
-  plain host :class:`~repro.framework.records.KeyValueSet` objects;
-  only the host<->device transfer model is costed.
-* :class:`~repro.backend.fast.ColumnarBackend` — the fast executor
-  pinned to its vectorized columnar path.
+* :class:`repro.backend.fast.FastBackend` — a functional executor
+  that skips warp-level simulation entirely.  Handles are host
+  :class:`~repro.framework.records.KeyValueSet` objects, or column
+  batches when the workload ships batch kernels; only the
+  host<->device transfer model is costed.
 * :class:`repro.backend.parallel.ParallelBackend` and
   :class:`repro.backend.distributed.DistributedBackend` — the two
   transports of the one sharded executor

@@ -4,6 +4,9 @@ Runs the *same* user Map/Reduce functions as the simulator, but
 directly on the host: Map is a tight loop over the records, Shuffle a
 dict group-by sorted by key bytes (matching the device's sort-based
 shuffle), Reduce a loop over the key sets under either strategy.
+Workloads that ship batch kernels (``map_batch`` / ``reduce_batch``)
+run them instead, over numpy columns (:mod:`repro.framework.columns`);
+see :class:`FastBackend`.
 Output is record-identical to :class:`~repro.backend.sim.SimBackend`
 (up to the record reordering the sim's atomic appends legitimately
 introduce — the cross-backend differential suite normalises by
@@ -28,7 +31,6 @@ kernel time.  Use the sim backend for any figure.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import reduce as _fold
 
@@ -47,26 +49,12 @@ from ..store import (
     open_store,
     resolve_store_name,
 )
-from .base import ExecutionBackend, env_positive_int
+from .base import ExecutionBackend
 from .plan import JobPlan
 
-#: Environment variable turning the columnar path on process-wide
-#: (``1``/``true``/``yes``/``on``) when neither the plan nor the
-#: backend instance decides.
-COLUMNAR_ENV = "REPRO_COLUMNAR"
-
-#: Environment variable overriding the records-per-batch width.
-COLUMNAR_BATCH_ENV = "REPRO_COLUMNAR_BATCH"
-
-#: Default columnar Map batch width, in records.
-DEFAULT_BATCH_RECORDS = 8192
-
-
-def columnar_env_enabled() -> bool:
-    """Does ``$REPRO_COLUMNAR`` request the columnar path?"""
-    return os.environ.get(COLUMNAR_ENV, "").strip().lower() in (
-        "1", "true", "yes", "on"
-    )
+#: Records per ``map_batch`` call.  Read at every Map, so tests can
+#: patch it to cut small inputs into several batches.
+BATCH_RECORDS = 8192
 
 
 @dataclass
@@ -78,11 +66,6 @@ class FastContext:
     plan: JobPlan
     config: DeviceConfig
     stores: list[IntermediateStore] = field(default_factory=list)
-    #: Columnar execution resolved for this job (plan -> backend ->
-    #: ``$REPRO_COLUMNAR``); see :meth:`FastBackend.map_phase`.
-    columnar: bool = False
-    #: Records per columnar Map batch.
-    batch_records: int = DEFAULT_BATCH_RECORDS
 
 
 class StoreGroups:
@@ -113,41 +96,27 @@ class StoreGroups:
 class FastBackend(ExecutionBackend):
     """Execute functionally on the host, skipping the simulator.
 
-    ``columnar=True`` switches Map/Shuffle/Reduce onto the vectorized
-    columnar path (:mod:`repro.framework.columns`): input records are
-    batched into array columns, workloads with ``map_batch`` /
-    ``reduce_batch`` run whole batches through numpy, the shuffle is a
-    stable argsort + group-boundary scan instead of the dict group-by,
-    and workloads without batch kernels fall back to the scalar API
-    per batch.  ``columnar=None`` (the default) consults the job plan,
-    then ``$REPRO_COLUMNAR``.  Output stays byte-identical for integer
-    workloads and bit-equal in practice for the float ones (batch
-    kernels preserve the scalar operation order).
+    The path follows from the spec and the data, never from an
+    option.  A spec that ships ``map_batch`` maps whole
+    :data:`BATCH_RECORDS`-record batches through it (the record loop
+    covers any batch it declines) and hands the Shuffle a
+    :class:`~repro.framework.columns.ColumnBatch`, which groups with
+    the vectorized column group-by; ``reduce_batch`` then runs over the
+    :class:`~repro.framework.columns.GroupedColumns`.  Every other Map
+    — kernel-less specs and streamed batches — is the record loop into
+    a :class:`KeyValueSet`, grouped by the memory store's dict, which
+    is cheaper than lifting records into columns.  Output is
+    byte-identical for integer workloads and bit-equal in practice for
+    the float ones (batch kernels keep the scalar operation order).
     """
 
     name = "fast"
-
-    def __init__(self, columnar: bool | None = None):
-        self.columnar = columnar
-
-    def _columnar_enabled(self, plan: JobPlan) -> bool:
-        if plan.columnar is not None:
-            return bool(plan.columnar)
-        if self.columnar is not None:
-            return bool(self.columnar)
-        return columnar_env_enabled()
 
     def open(self, plan: JobPlan) -> FastContext:
         cfg = plan.config
         if cfg is None and plan.device is not None:
             cfg = plan.device.config
-        return FastContext(
-            plan=plan,
-            config=cfg or DeviceConfig.gtx280(),
-            columnar=self._columnar_enabled(plan),
-            batch_records=env_positive_int(COLUMNAR_BATCH_ENV,
-                                           DEFAULT_BATCH_RECORDS),
-        )
+        return FastContext(plan=plan, config=cfg or DeviceConfig.gtx280())
 
     def close(self, ctx) -> None:
         stores, ctx.stores = ctx.stores, []
@@ -194,12 +163,11 @@ class FastBackend(ExecutionBackend):
     # -- phases --------------------------------------------------------
 
     def map_phase(self, ctx, d_in, tr, *, batch=None):
-        if ctx.columnar and batch is None:
-            # Streamed batches (batch is not None) keep the scalar Map:
-            # their sink is record-oriented; the columnar path picks
-            # the stream back up at the Shuffle.
-            return self._map_phase_columnar(ctx, d_in, tr)
         spec = ctx.plan.spec
+        if spec.map_batch is not None and batch is None:
+            # Streamed batches (batch is not None) keep the record
+            # loop: their sink is record-oriented.
+            return self._map_phase_batched(ctx, d_in, tr)
         out = KeyValueSet()
         emit = checked_emit(out.append_unchecked)
         const = _accessor(spec.const_bytes) if spec.const_bytes else None
@@ -217,15 +185,15 @@ class FastBackend(ExecutionBackend):
         tr.kernel("map_kernel", stats, **attrs)
         return out, stats
 
-    def _map_phase_columnar(self, ctx, d_in, tr):
-        """Columnar Map: batch the input into columns, run the
-        workload's ``map_batch`` per batch (scalar fallback for
-        batches it declines or when no batch kernel exists), and hand
-        the Shuffle one concatenated :class:`ColumnBatch`."""
+    def _map_phase_batched(self, ctx, d_in, tr):
+        """Batch-kernel Map: cut the input into column batches, run the
+        spec's ``map_batch`` per batch (the record loop for batches it
+        declines), and hand the Shuffle one concatenated
+        :class:`ColumnBatch`."""
         plan = ctx.plan
         spec = plan.spec
         n = len(d_in)
-        width = ctx.batch_records
+        width = BATCH_RECORDS
         map_batch = spec.map_batch
         map_record = spec.map_record
         const_bytes = spec.const_bytes
@@ -236,15 +204,13 @@ class FastBackend(ExecutionBackend):
             keys, vals = d_in.keys, d_in.values
             for lo in range(0, n, width):
                 hi = min(lo + width, n)
-                res = None
-                if map_batch is not None:
-                    cols = ColumnBatch.from_lists(keys[lo:hi], vals[lo:hi])
-                    res = map_batch(cols, const=const_bytes)
-                    if res is not None and not isinstance(res, ColumnBatch):
-                        raise FrameworkError(
-                            f"{spec.name}.map_batch must return a "
-                            f"ColumnBatch or None, got {type(res)!r}"
-                        )
+                cols = ColumnBatch.from_lists(keys[lo:hi], vals[lo:hi])
+                res = map_batch(cols, const=const_bytes)
+                if res is not None and not isinstance(res, ColumnBatch):
+                    raise FrameworkError(
+                        f"{spec.name}.map_batch must return a "
+                        f"ColumnBatch or None, got {type(res)!r}"
+                    )
                 if res is None:
                     part = KeyValueSet()
                     emit = checked_emit(part.append_unchecked)
@@ -280,40 +246,34 @@ class FastBackend(ExecutionBackend):
             # Streamed sink: the batches already emitted into the store.
             store = inter
             with tr.span("shuffle_exec", records=len(store)) as sp:
-                return self._grouped_from(ctx, store, sp)
-        if ctx.columnar:
-            if not isinstance(inter, ColumnBatch):
-                # Streamed tail: the sink is a host record set — lift
-                # it into columns so the vectorized group-by applies.
-                inter = ColumnBatch.from_kvs(inter)
-            with tr.span("shuffle_exec", records=len(inter)) as sp:
-                store = open_store(plan.store, plan.memory_budget)
-                ctx.stores.append(store)
-                store.emit_columns(inter)
-                return self._grouped_from(ctx, store, sp)
+                return self._grouped_from(store, sp)
+        columns = isinstance(inter, ColumnBatch)
         with tr.span("shuffle_exec", records=len(inter)) as sp:
             store = open_store(plan.store, plan.memory_budget)
             ctx.stores.append(store)
-            store.emit_many(inter)
-            return self._grouped_from(ctx, store, sp)
+            if columns:
+                store.emit_columns(inter)
+            else:
+                store.emit_many(inter)
+            return self._grouped_from(store, sp, columns=columns)
 
-    def _grouped_from(self, ctx, store, sp):
+    def _grouped_from(self, store, sp, *, columns=False):
         """Finalize a filled store into the grouped handle.
 
-        Memory stores drain eagerly into the historical sorted list
-        (exact group count, byte-identical default path); spill stores
-        hand back a lazy :class:`StoreGroups` stream with the group
-        count unknown until Reduce drains it.
+        Memory stores group eagerly: column emissions into
+        :class:`GroupedColumns`, record emissions into the historical
+        sorted list (exact group count either way); spill stores hand
+        back a lazy :class:`StoreGroups` stream with the group count
+        unknown until Reduce drains it.
         """
         store.finalize()
         if isinstance(store, MemoryStore):
-            if ctx.columnar:
-                cg = store.column_groups()
-                if cg is not None:
-                    if sp is not None:
-                        sp.attrs["groups"] = len(cg)
-                        sp.attrs["vectorized"] = cg.vectorized
-                    return cg, 0.0, len(cg)
+            cg = store.column_groups() if columns else None
+            if cg is not None:
+                if sp is not None:
+                    sp.attrs["groups"] = len(cg)
+                    sp.attrs["vectorized"] = cg.vectorized
+                return cg, 0.0, len(cg)
             grouped = list(store.iter_groups())
             if sp is not None:
                 sp.attrs["groups"] = len(grouped)
@@ -416,20 +376,6 @@ class FastBackend(ExecutionBackend):
             sink.emit_many(self.to_host(ctx, handle))
         else:
             super().absorb_batch(ctx, sink, handle)
-
-
-class ColumnarBackend(FastBackend):
-    """The fast backend pinned to the columnar path.
-
-    Registered as ``"columnar"`` so CLIs and ``$REPRO_BACKEND`` can
-    select vectorized execution by name; equivalent to
-    ``FastBackend(columnar=True)``.
-    """
-
-    name = "columnar"
-
-    def __init__(self):
-        super().__init__(columnar=True)
 
 
 def _phase_stats(ctx, *, records_in: int, records_out: int) -> KernelStats:

@@ -27,7 +27,8 @@ exit path.
 from __future__ import annotations
 
 import multiprocessing
-from typing import Any
+from collections import deque
+from typing import Any, Callable, Iterable, Iterator
 
 from ..framework.host import shard_slices
 from ..framework.tasks import run_task
@@ -51,6 +52,25 @@ def _install_job(job: tuple) -> None:
 def _pool_task(item: tuple[str, int, dict]) -> dict:
     phase, shard, task = item
     return run_task(_POOL_JOB, phase, shard, task)
+
+
+def windowed_map(pool, fn: Callable, items: Iterable,
+                 window: int) -> Iterator:
+    """``fn(item)`` for each item on ``pool``, yielded in item order,
+    pulling an item only while fewer than ``window`` results are
+    unconsumed.
+
+    ``Pool.imap`` would drain a lazy ``items`` in its feeder thread
+    at once; this keeps a lazy task source (the spilled Reduce's
+    group chunks) materialised a window at a time.
+    """
+    pending: deque = deque()
+    for item in items:
+        pending.append(pool.apply_async(fn, (item,)))
+        if len(pending) >= window:
+            yield pending.popleft().get()
+    while pending:
+        yield pending.popleft().get()
 
 
 class ParallelBackend(ShardedBackend):
@@ -81,9 +101,10 @@ class ParallelBackend(ShardedBackend):
 
     def _run(self, ctx, phase, tasks) -> list[dict]:
         try:
-            return list(ctx.executor.imap(
-                _pool_task, ((phase, shard, task) for shard, task in tasks),
-                chunksize=1,
+            return list(windowed_map(
+                ctx.executor, _pool_task,
+                ((phase, shard, task) for shard, task in tasks),
+                window=2 * self.workers,
             ))
         except Exception as exc:
             # The worker's exception, re-raised as is (its remote

@@ -11,6 +11,10 @@ pluggable :class:`~repro.backend.base.ExecutionBackend`.
 The plan also centralises the presentation details that used to be
 copy-pasted per driver: staging labels, tracer span attributes, and
 the ``JobResult.mode`` label ("Mars" for the two-pass baseline).
+
+Nothing in the plan picks the fast backend's execution shape: it runs
+a spec's batch kernels whenever the spec ships them (see
+:class:`~repro.backend.fast.FastBackend`).
 """
 
 from __future__ import annotations
@@ -82,12 +86,6 @@ class JobPlan:
     #: (``None`` consults ``$REPRO_MEMORY_BUDGET``, then the spill
     #: default).  Ignored by the memory store, which is unbounded.
     memory_budget: int | None = None
-    #: Columnar execution request for the fast backend: ``True``/
-    #: ``False`` pin the path, ``None`` defers to the backend instance
-    #: and then ``$REPRO_COLUMNAR``.  The sim and parallel backends
-    #: ignore this (the parallel backend's inner fast executor is
-    #: pinned scalar so worker output never depends on the env).
-    columnar: bool | None = None
     #: The :class:`repro.tune.TunerDecision` that produced this plan,
     #: set by the backends' ``resolve_auto`` / ``run_job(tune=True)``.
     #: ``None`` for untuned plans — the ledger records them as such.
@@ -214,10 +212,6 @@ class JobPlan:
             # Only explicit policies land in span attrs: the default
             # (None -> env -> "memory") keeps traces byte-identical.
             attrs["store"] = self.store
-        if self.columnar is not None:
-            # Same rule as ``store``: only explicit requests appear,
-            # keeping default traces byte-identical.
-            attrs["columnar"] = self.columnar
         if self.tuned is not None:
             attrs["tuned"] = True
             attrs["tuner_choice"] = self.tuned.choice

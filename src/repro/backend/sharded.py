@@ -49,8 +49,12 @@ fault tolerance  none: a worker error       re-execution, scripted
 speculation      no                         straggler backup tasks
 ===============  =========================  ==========================
 
-Inputs below ``min_records`` (and platforms without ``fork``) never
-start the executor: the job runs in-process on the inner fast backend.
+Workers run the record loop; only the coordinator's Map output is
+merged, always as a ``KeyValueSet``, so it groups with the dict
+shuffle.  Inputs below ``min_records`` (and platforms without
+``fork``) never start the executor: the job runs in-process on the
+inner fast backend, batch kernels included, and its handles pass
+through this backend to that one untouched.
 Timing semantics match the fast backend: transfers are model-costed,
 kernel cycles read as zero.
 """
@@ -217,9 +221,7 @@ class ShardedBackend(ExecutionBackend):
         self.workers = workers if workers is not None else default_workers()
         self.min_records = (DEFAULT_MIN_RECORDS if min_records is None
                             else max(0, min_records))
-        # Pinned scalar: workers run the record-at-a-time path, so the
-        # output never changes shape under $REPRO_COLUMNAR.
-        self._fast = FastBackend(columnar=False)
+        self._fast = FastBackend()
 
     # -- transport hooks -------------------------------------------------
 
@@ -294,10 +296,11 @@ class ShardedBackend(ExecutionBackend):
         return self._fast.upload_input(ctx.fast, kvs, label)
 
     def download_output(self, ctx, handle):
-        return self._fast.download_output(ctx.fast, self._as_kvs(handle))
+        return self._fast.download_output(ctx.fast,
+                                          self._fast_handle(handle))
 
     def to_host(self, ctx, handle):
-        return self._as_kvs(handle)
+        return self._fast.to_host(ctx.fast, self._fast_handle(handle))
 
     def stage_intermediate(self, ctx, kvs, label):
         return kvs
@@ -305,7 +308,7 @@ class ShardedBackend(ExecutionBackend):
     def record_count(self, ctx, handle) -> int:
         if isinstance(handle, (_MapOutput, _SpilledRuns)):
             return handle.emit_count
-        return len(handle)
+        return self._fast.record_count(ctx.fast, handle)
 
     def stream_sink(self, ctx):
         return self._fast.stream_sink(ctx.fast)
@@ -317,9 +320,10 @@ class ShardedBackend(ExecutionBackend):
             super().absorb_batch(ctx, sink, handle)
 
     @staticmethod
-    def _as_kvs(handle) -> KeyValueSet:
-        if isinstance(handle, KeyValueSet):
-            return handle
+    def _fast_handle(handle):
+        """The inner fast backend's handle behind ``handle``: a sharded
+        Map output's merged pairs, or — for phases that ran in-process
+        — the fast backend's own handle, as is."""
         if isinstance(handle, _MapOutput):
             if handle.pairs is None:
                 raise FrameworkError(
@@ -327,7 +331,7 @@ class ShardedBackend(ExecutionBackend):
                     "as records"
                 )
             return handle.pairs
-        raise FrameworkError(f"not a host-readable handle: {type(handle)!r}")
+        return handle
 
     # -- phases ---------------------------------------------------------
 
@@ -430,9 +434,6 @@ class ShardedBackend(ExecutionBackend):
                 inter.stats.merge_fan_in = sum(map(len, inter.run_lists))
             grouped = StoreGroups(merge_runs(inter.run_lists), inter.stats)
             return grouped, 0.0, None
-        if isinstance(inter, IntermediateStore):
-            # Streamed sink store: the fast logic finalizes it.
-            return self._fast.shuffle_phase(ctx.fast, inter, tr, label)
         if isinstance(inter, _MapOutput) and inter.combined is not None:
             merged: dict[bytes, list[tuple[bytes, int]]] = {}
             for part_list in inter.combined:  # task order = emission order
@@ -444,8 +445,10 @@ class ShardedBackend(ExecutionBackend):
                         bucket.append(part)
             grouped = _CombinedGroups(sorted(merged.items()))
             return grouped, 0.0, len(grouped)
-        return self._fast.shuffle_phase(ctx.fast, self._as_kvs(inter), tr,
-                                        label)
+        # Merged pairs, a streamed sink store, or an in-process Map's
+        # own handle: the fast logic groups it.
+        return self._fast.shuffle_phase(ctx.fast, self._fast_handle(inter),
+                                        tr, label)
 
     def reduce_phase(self, ctx, grouped, tr, *, include_grid=True):
         if ctx.executor is None:

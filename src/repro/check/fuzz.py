@@ -5,17 +5,17 @@ tiny random workload (map kernel shape, key distribution, record
 count), a memory mode, a reduce strategy and tuning knobs, then runs
 it on the simulator *with the sanitizer in strict mode*, on the fast
 functional backend (three times: once on the default memory store,
-once on the spill store under a tiny forced budget, and once through
-the columnar execution path under a small batch width), and through
-the sequential CPU oracle
+once on the spill store under a tiny forced budget, and once with a
+``map_batch`` that declines every batch under a small batch width),
+and through the sequential CPU oracle
 (:func:`repro.cpu_ref.reference.reference_job`).  All outputs must
 agree after order normalisation — the alternate store policy and the
-columnar path must match the scalar fast run byte for byte — and the
-sanitizer must report nothing.
+batched path must match the record-loop fast run byte for byte — and
+the sanitizer must report nothing.
 
-The fuzz kernels have no batch implementations, so the columnar leg
-exercises exactly the hard part: array-shuffle grouping plus the
-per-batch scalar fallback, across ragged keys, empty inputs and burst
+The declining ``map_batch`` routes the fuzz kernels through exactly
+the hard part of the batched path: the per-batch record-loop fallback
+plus the column group-by, across ragged keys, empty inputs and burst
 emitters.
 
 The generator deliberately over-samples degenerate shapes — empty
@@ -45,13 +45,12 @@ report like ``case 137`` reproduces with ``--only 137`` (plus
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from ..backend.fast import COLUMNAR_BATCH_ENV
+from ..backend import fast as fast_backend
 from ..cpu_ref.reference import normalised, reference_job
 from ..framework.api import MapReduceSpec
 from ..framework.job import run_job
@@ -125,6 +124,11 @@ def _combine_sum(a: bytes, b: bytes) -> bytes:
 
 def _finalize_sum(key: bytes, acc: bytes, count: int) -> tuple[bytes, bytes]:
     return key, acc
+
+
+def _decline_batch(cols, *, const=None):
+    """A ``map_batch`` that declines every batch (record-loop fallback)."""
+    return None
 
 
 def _make_spec(kind: str, io_ratio: float | None) -> MapReduceSpec:
@@ -219,7 +223,6 @@ def run_case(case: FuzzCase, config: DeviceConfig) -> str | None:
     including the parallel backend's per-shard partial combine — must
     be byte-exact against the oracle after order normalisation.
     """
-    from ..backend.fast import FastBackend
     from ..backend.parallel import ParallelBackend
 
     spec = _make_spec(case.kind, case.io_ratio)
@@ -250,22 +253,18 @@ def run_case(case: FuzzCase, config: DeviceConfig) -> str | None:
     if par.output != fast.output:
         return (f"parallel output diverges from fast "
                 f"({len(par.output)} vs {len(fast.output)} records)")
-    # Columnar execution under a batch width small enough that most
-    # cases span several batches.  These kernels declare no batch
-    # implementations, so this drives the array shuffle plus the
-    # per-batch scalar fallback; output must be byte-identical.
-    prev = os.environ.get(COLUMNAR_BATCH_ENV)
-    os.environ[COLUMNAR_BATCH_ENV] = "7"
+    # The batched path under a batch width small enough that most
+    # cases span several batches: a map_batch that declines every
+    # batch drives the per-batch record-loop fallback plus the column
+    # group-by; output must be byte-identical.
+    width, fast_backend.BATCH_RECORDS = fast_backend.BATCH_RECORDS, 7
     try:
-        col = run_job(spec, inp, backend=FastBackend(columnar=True),
-                      **common)
+        col = run_job(replace(spec, map_batch=_decline_batch), inp,
+                      backend="fast", **common)
     finally:
-        if prev is None:
-            os.environ.pop(COLUMNAR_BATCH_ENV, None)
-        else:
-            os.environ[COLUMNAR_BATCH_ENV] = prev
+        fast_backend.BATCH_RECORDS = width
     if col.output != fast.output:
-        return (f"columnar output diverges from fast "
+        return (f"batched output diverges from fast "
                 f"({len(col.output)} vs {len(fast.output)} records)")
     return None
 

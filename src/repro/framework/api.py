@@ -76,9 +76,10 @@ class MapReduceSpec:
     combine: CombineFn | None = None
     finalize: FinalizeFn | None = None
 
-    #: Optional vectorized twins of ``map_record``/``reduce_record``
-    #: for the columnar execution path (``--columnar`` /
-    #: ``$REPRO_COLUMNAR``).  Both are pure accelerations: they must
+    #: Optional vectorized twins of ``map_record``/``reduce_record``,
+    #: which the fast backend runs whenever they are set (a
+    #: ``reduce_batch`` runs when the Map produced columns, i.e. when
+    #: ``map_batch`` is set too).  Both are pure accelerations: they must
     #: reproduce the scalar functions' emissions byte for byte (float
     #: payloads: same operation order, so same rounding), and either
     #: may return None to decline a batch it cannot vectorize — the

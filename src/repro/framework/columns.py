@@ -47,6 +47,9 @@ from .records import KeyValueSet
 
 _EMPTY_LENGTHS = np.zeros(0, dtype=np.int64)
 
+#: Records per offsets chunk when iterating a column lazily.
+_ITER_CHUNK = 8192
+
 
 class Column:
     """One side of a record batch: ``n`` byte strings, concatenated.
@@ -157,9 +160,13 @@ class Column:
         return [blob[a:b] for a, b in zip(off, off[1:])]
 
     def __iter__(self) -> Iterator[bytes]:
-        blob, off = self.blob, self.offsets.tolist()
-        for a, b in zip(off, off[1:]):
-            yield blob[a:b]
+        # Offsets convert a chunk at a time, so a lazy walk over a big
+        # column never holds them all as Python ints.
+        blob, offsets = self.blob, self.offsets
+        for lo in range(0, len(self), _ITER_CHUNK):
+            off = offsets[lo:lo + _ITER_CHUNK + 1].tolist()
+            for a, b in zip(off, off[1:]):
+                yield blob[a:b]
 
     # -- transforms ----------------------------------------------------
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..framework.map_engine import MapRuntime, _charge_dir_reads, _replay, _replay_const
+from ..framework.records import checked_record
 from ..gpu.accessor import Accessor, AccessTrace
 from ..gpu.config import WARP_SIZE
 from ..gpu.kernel import WarpCtx
@@ -82,6 +83,7 @@ def _count_rounds(ctx: WarpCtx, crt: MarsCountRuntime, tile: Tile):
 
             def emit(k: bytes, v: bytes) -> None:
                 nonlocal kb, vb, n
+                k, v = checked_record(k, v)
                 kb += len(k)
                 vb += len(v)
                 n += 1

@@ -38,6 +38,7 @@ from ..framework.records import (
     DeviceRecordSet,
     KeyValueSet,
     OutputBuffers,
+    checked_record,
 )
 from ..framework.shuffle import GroupedDeviceSet
 from ..framework.staging import Tile, plan_tiles_unstaged
@@ -173,7 +174,7 @@ def _real_rounds(ctx: WarpCtx, rrt: MarsRealRuntime, tile: Tile):
             state = {"ko": ko, "vo": vo, "ro": ro}
 
             def emit(k: bytes, v: bytes, _s=state) -> None:
-                k, v = bytes(k), bytes(v)
+                k, v = checked_record(k, v)
                 gm = ctx.gmem
                 gm.write(out.keys_addr + _s["ko"], k)
                 gm.write(out.vals_addr + _s["vo"], v)
@@ -351,6 +352,7 @@ def mars_reduce_kernel(ctx: WarpCtx, rrt: MarsReduceRuntime):
 
                     def emit(k: bytes, v: bytes) -> None:
                         nonlocal kb, vb, nr
+                        k, v = checked_record(k, v)
                         kb += len(k)
                         vb += len(v)
                         nr += 1
@@ -371,7 +373,7 @@ def mars_reduce_kernel(ctx: WarpCtx, rrt: MarsReduceRuntime):
                     ko0, vo0, ro0 = state["ko"], state["vo"], state["ro"]
 
                     def emit(k: bytes, v: bytes, _s=state) -> None:
-                        k, v = bytes(k), bytes(v)
+                        k, v = checked_record(k, v)
                         gm = ctx.gmem
                         gm.write(out.keys_addr + _s["ko"], k)
                         gm.write(out.vals_addr + _s["vo"], v)

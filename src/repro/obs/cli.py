@@ -122,19 +122,14 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--mars", action="store_true",
                    help="run the Mars two-pass baseline instead")
     p.add_argument("--backend", default=None,
-                   choices=["sim", "fast", "parallel", "columnar", "dist"],
+                   choices=["sim", "fast", "parallel", "dist"],
                    help="execution backend: 'sim' (cycle-accurate, "
                         "default), 'fast' (functional only — kernel "
-                        "cycles read as zero), 'parallel' (fast, "
-                        "sharded over a process pool), 'columnar' "
-                        "(fast with vectorized batch kernels) or 'dist' "
+                        "cycles read as zero; runs the workload's batch "
+                        "kernels when it ships them), 'parallel' (fast, "
+                        "sharded over a process pool) or 'dist' "
                         "(fast over socket-connected workers with fault "
                         "tolerance); default honours $REPRO_BACKEND")
-    p.add_argument("--columnar", action="store_true",
-                   help="run the fast backend's vectorized columnar "
-                        "path (same as --backend columnar or "
-                        "$REPRO_COLUMNAR=1; incompatible with the sim, "
-                        "parallel and dist backends)")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes for --backend parallel/dist "
                         "(default: $REPRO_WORKERS or the CPU count)")
@@ -205,12 +200,6 @@ def main(argv: list[str] | None = None) -> int:
     backend = args.backend
     backend_name = (args.backend or os.environ.get("REPRO_BACKEND")
                     or "sim").strip().lower()
-    if args.columnar:
-        if args.backend in ("sim", "parallel", "dist"):
-            print("repro-trace: --columnar needs the fast backend "
-                  "(--backend fast or columnar)", file=sys.stderr)
-            raise SystemExit(2)
-        backend = backend_name = "columnar"
     if args.workers is not None and backend not in ("parallel", "dist"):
         print("repro-trace: --workers needs --backend parallel or dist",
               file=sys.stderr)

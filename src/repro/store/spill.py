@@ -39,6 +39,7 @@ import os
 import shutil
 import struct
 import tempfile
+from itertools import islice
 from typing import Iterator
 
 from ..errors import FrameworkError
@@ -130,7 +131,9 @@ class SpillStore(IntermediateStore):
         finds the longest prefix that still fits, so the loop runs
         once per *spill*, not once per record.  Buffer contents, spill
         points, run files and all accounting come out byte-identical
-        to emitting the pairs one at a time.
+        to emitting the pairs one at a time.  Records are drawn from
+        the columns lazily, so only the budgeted buffer ever holds them
+        as Python objects.
         """
         import numpy as np
 
@@ -139,8 +142,7 @@ class SpillStore(IntermediateStore):
             return
         costs = cols.keys.lengths + cols.values.lengths + RECORD_OVERHEAD
         cum = np.cumsum(costs)
-        kl = cols.keys.tolist()
-        vl = cols.values.tolist()
+        pairs = cols.iter_pairs()
         buf = self._buffer
         bb = self._buffer_bytes
         budget = self.budget
@@ -151,7 +153,7 @@ class SpillStore(IntermediateStore):
             if not buf:
                 # An empty buffer always accepts the next record, even
                 # one larger than the whole budget (the scalar rule).
-                buf.append((kl[i], vl[i]))
+                buf.append(next(pairs))
                 bb += int(costs[i])
                 if bb > st.peak_bytes:
                     st.peak_bytes = bb
@@ -162,7 +164,7 @@ class SpillStore(IntermediateStore):
             # Longest prefix i..j-1 with bb + (cum[j-1] - prev) <= budget.
             j = int(np.searchsorted(cum, budget - bb + prev, side="right"))
             if j > i:
-                buf.extend(zip(kl[i:j], vl[i:j]))
+                buf.extend(islice(pairs, j - i))
                 bb += int(cum[j - 1]) - prev
                 if bb > st.peak_bytes:
                     st.peak_bytes = bb

@@ -3,9 +3,9 @@
 The paper's own Figures 5–8 show that no single configuration wins
 everywhere: the best memory mode (G/GT/SI/SO/SIO) and reduce strategy
 (TR/BR) cross over with key cardinality, value width and skew, and the
-repo has since grown more performance knobs (backend, columnar
-batching, spill budget, worker count, split bytes) that used to be
-picked by hand.  This package picks them from input statistics:
+repo has since grown more performance knobs (backend, spill budget,
+worker count, split bytes) that used to be picked by hand.  This
+package picks them from input statistics:
 
 * :mod:`repro.tune.profiler` — a cheap bounded-sample input profiler
   producing :class:`InputStats` (record count, size distribution, key

@@ -19,8 +19,11 @@ were fit by least squares over a measured sweep of the eight shipped
 workloads (``scripts/calibrate_tuner.py`` reproduces and prints them),
 and :mod:`repro.tune.calibrate` refines them at runtime from matching
 run-ledger records.  Wall-clock rates price the functional backends
-(fast / parallel:N / columnar / dist:N) plus the spill-budget knob for
-the execution-level decision.
+(fast / parallel:N / dist:N) plus the spill-budget knob for the
+execution-level decision.  The fast price follows the path the fast
+backend takes on its own: the batch-kernel discounts apply when the
+spec ships ``map_batch`` and its keys are fixed-width, and the plain
+record-loop price otherwise.
 """
 
 from __future__ import annotations
@@ -44,11 +47,10 @@ class Candidate:
     mode: MemoryMode = MemoryMode.SIO
     strategy: ReduceStrategy | None = None
     threads_per_block: int = 128
-    #: Execution substrate ("sim", "fast", "parallel", "columnar",
-    #: "dist") — only the wall objective distinguishes these.
+    #: Execution substrate ("sim", "fast", "parallel", "dist") —
+    #: only the wall objective distinguishes these.
     backend: str = "sim"
     workers: int | None = None
-    columnar: bool = False
     store: str | None = None
     memory_budget: int | None = None
     split_bytes: int | None = None
@@ -145,7 +147,6 @@ class CostConstants:
     columnar_map_discount: float = 0.25
     columnar_reduce_discount: float = 0.2
     columnar_per_batch: float = 2.5e-4
-    columnar_scalar_tax: float = 1.35
     parallel_fixed: float = 0.035
     parallel_per_worker: float = 0.012
     parallel_ship_per_byte: float = 2.0e-8
@@ -280,12 +281,12 @@ def estimate_wall(
 ) -> float:
     """Predicted wall seconds on a functional backend.
 
-    Prices the fast scalar loop, the columnar discounts (only when the
-    workload actually ships batch kernels *and* the input profile is
-    vectorizable), the parallel pool's fork+ship overheads against its
-    ideal speedup, the dist coordinator's socket hop, and the spill
-    store's per-byte write+merge charge when the candidate budgets the
-    shuffle.
+    Prices the fast record loop, the batch-kernel discounts on the fast
+    candidate (only when the workload ships ``map_batch`` *and* its
+    keys are fixed-width), the parallel pool's fork+ship overheads
+    against its ideal speedup, the dist coordinator's socket hop, and
+    the spill store's per-byte write+merge charge when the candidate
+    budgets the shuffle.
     """
     c = constants or CostConstants()
     n = float(stats.records)
@@ -300,20 +301,7 @@ def estimate_wall(
     reduce_s = (c.host_per_group * groups + c.host_per_emission * e) \
         if cand.strategy is not None else 0.0
 
-    if cand.backend == "columnar" or cand.columnar:
-        batches = max(1.0, math.ceil(n / 8192.0))
-        if spec is not None and getattr(spec, "map_batch", None) is not None \
-                and not stats.ragged_keys:
-            map_s *= c.columnar_map_discount
-        else:
-            map_s *= c.columnar_scalar_tax
-        if spec is not None and getattr(spec, "reduce_batch", None) is not None \
-                and cand.strategy is ReduceStrategy.TR \
-                and stats.emit_fixed_width:
-            reduce_s *= c.columnar_reduce_discount
-        total = map_s + shuffle_s + reduce_s + c.columnar_per_batch * batches
-        total *= c.corrected("backend:columnar")
-    elif cand.backend in ("parallel", "dist"):
+    if cand.backend in ("parallel", "dist"):
         workers = max(1, cand.workers or cpu_count)
         speedup = float(min(workers, max(1, cpu_count)))
         compute = (map_s + reduce_s) / speedup + shuffle_s
@@ -325,6 +313,16 @@ def estimate_wall(
             total = compute + c.dist_fixed + c.dist_per_worker * workers \
                 + c.dist_ship_per_byte * (in_bytes + 2 * inter_bytes)
         total *= c.corrected(f"backend:{cand.backend}")
+    elif getattr(spec, "map_batch", None) is not None \
+            and not stats.ragged_keys:
+        batches = max(1.0, math.ceil(n / 8192.0))
+        map_s *= c.columnar_map_discount
+        if getattr(spec, "reduce_batch", None) is not None \
+                and cand.strategy is ReduceStrategy.TR \
+                and stats.emit_fixed_width:
+            reduce_s *= c.columnar_reduce_discount
+        total = map_s + shuffle_s + reduce_s + c.columnar_per_batch * batches
+        total *= c.corrected("backend:fast")
     else:
         total = (map_s + shuffle_s + reduce_s) * c.corrected("backend:fast")
 

@@ -8,9 +8,8 @@ Two entry points, one per objective:
   This is what ``SimBackend.resolve_auto`` (and the fast backend, for
   mode-labelling parity) applies when a plan says ``mode="auto"``.
 * :func:`decide_execution` — the **wall-clock** objective.  Also picks
-  the execution substrate (fast / parallel:N / columnar), the spill
-  budget, and the columnar toggle with
-  :func:`repro.tune.cost.estimate_wall`.  This is what
+  the execution substrate (fast / parallel:N) and the spill budget
+  with :func:`repro.tune.cost.estimate_wall`.  This is what
   ``run_job(tune=True)`` / ``$REPRO_AUTOTUNE`` applies before a
   backend is even constructed.
 
@@ -72,7 +71,6 @@ class TunerDecision:
     #: (the cycles objective never moves a job off its backend).
     backend: str | None = None
     workers: int | None = None
-    columnar: bool | None = None
     store: str | None = None
     memory_budget: int | None = None
     #: Model output: predicted cost of the chosen candidate, in the
@@ -96,8 +94,6 @@ class TunerDecision:
             if self.workers:
                 backend += f":{self.workers}"
             text += f" {backend}"
-            if self.columnar:
-                text += "+columnar"
             if self.store == "spill":
                 text += "+spill"
         return text
@@ -217,7 +213,7 @@ def decide_modes(
     )
 
 
-def _execution_candidates(spec, stats, *, cpu_count, memory_ceiling,
+def _execution_candidates(stats, *, cpu_count, memory_ceiling,
                           allow_dist):
     store = None
     budget = None
@@ -225,10 +221,6 @@ def _execution_candidates(spec, stats, *, cpu_count, memory_ceiling,
         store, budget = "spill", int(memory_ceiling)
     base = dict(store=store, memory_budget=budget)
     yield Candidate(backend="fast", **base)
-    batched = getattr(spec, "map_batch", None) is not None \
-        or getattr(spec, "reduce_batch", None) is not None
-    if batched:
-        yield Candidate(backend="columnar", columnar=True, **base)
     pools = sorted({w for w in (*_POOL_SIZES, cpu_count)
                     if 1 < w <= max(cpu_count, 2)})
     for workers in pools:
@@ -270,7 +262,7 @@ def decide_execution(
         and strategy is not None
 
     candidates = list(_execution_candidates(
-        spec, stats, cpu_count=cpu_count, memory_ceiling=memory_ceiling,
+        stats, cpu_count=cpu_count, memory_ceiling=memory_ceiling,
         allow_dist=allow_dist))
     # The wall objective needs a strategy to price Reduce: use TR as
     # the pricing baseline when the choice is open (strategy choice
@@ -303,7 +295,6 @@ def decide_execution(
         threads_per_block=modes.threads_per_block,
         backend=pick.backend,
         workers=pick.workers,
-        columnar=pick.columnar or None,
         store=pick.store,
         memory_budget=pick.memory_budget,
         predicted_cost=priced[pick],

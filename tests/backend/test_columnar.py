@@ -1,32 +1,38 @@
-"""The columnar fast backend: selection, batching, fallback, parity.
+"""The fast backend's batched path: selection, batching, fallback, parity.
 
-Covers what the cross-backend differential matrix does not: how the
-columnar path is *selected* (constructor, plan, ``$REPRO_COLUMNAR``,
-the ``"columnar"`` registry name), the batch-kernel decline contract
-(None -> per-batch scalar fallback), kernels that exist on only one
-side (batch Map + scalar Reduce and vice versa), the batch-width env,
-streamed and Mars jobs under columnar, and the observability counters
-(KernelStats extras + ledger fields).
+Covers what the cross-backend differential matrix does not: that the
+path follows from the spec alone (batch kernels run whenever the spec
+ships ``map_batch``; kernel-less specs never round-trip through
+columns; ``"columnar"`` is only an alias of ``"fast"``), the
+batch-kernel decline contract (None -> per-batch record-loop
+fallback), kernels that exist on only one side (batch Map + scalar
+Reduce and vice versa), the batch width, streamed, Mars and sharded
+jobs, and the observability counters (KernelStats extras + ledger
+fields).  Parity is always against the same spec with its kernels
+stripped, which keeps the record loop reachable.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.backend import BACKENDS, ColumnarBackend, FastBackend, get_backend
-from repro.backend.fast import (
-    COLUMNAR_BATCH_ENV,
-    COLUMNAR_ENV,
-    columnar_env_enabled,
+from repro.backend import (
+    BACKENDS,
+    DistributedBackend,
+    FastBackend,
+    ParallelBackend,
+    get_backend,
 )
 from repro.errors import FrameworkError
 from repro.framework import ReduceStrategy, run_job, run_streamed_job
 from repro.framework.api import MapReduceSpec
-from repro.framework.columns import Column, ColumnBatch
+from repro.framework.columns import ColumnBatch
 from repro.framework.records import KeyValueSet
 from repro.gpu.accessor import host_accessor
 from repro.workloads import Histogram, KMeans, WordCount
 from repro.workloads.wordcount import wc_map, wc_map_batch
+
+BATCH_RECORDS = "repro.backend.fast.BATCH_RECORDS"
 
 
 def _ident(key, value, emit, const):
@@ -35,6 +41,15 @@ def _ident(key, value, emit, const):
 
 def _count(key, values, emit, const):
     emit(key.to_bytes(), len(values).to_bytes(4, "little"))
+
+
+def _decline(cols, *, const=None):
+    return None  # every batch takes the record-loop fallback
+
+
+def _scalar(spec):
+    """The same spec with its batch kernels stripped: the record loop."""
+    return dataclasses.replace(spec, map_batch=None, reduce_batch=None)
 
 
 def _inp(n=100, keys=5):
@@ -46,52 +61,43 @@ def _inp(n=100, keys=5):
 
 class TestSelection:
     def test_registry_has_columnar(self):
-        assert "columnar" in BACKENDS
+        """``"columnar"`` survives only as an alias of ``"fast"``."""
+        assert BACKENDS["columnar"] is FastBackend
         be = get_backend("columnar")
-        assert isinstance(be, ColumnarBackend)
-        assert be.columnar is True
+        assert type(be) is FastBackend and be.name == "fast"
 
-    def test_env_enables(self, monkeypatch):
-        monkeypatch.delenv(COLUMNAR_ENV, raising=False)
-        assert not columnar_env_enabled()
-        for value in ("1", "true", "YES", " on "):
-            monkeypatch.setenv(COLUMNAR_ENV, value)
-            assert columnar_env_enabled(), value
-        for value in ("0", "off", "", "no"):
-            monkeypatch.setenv(COLUMNAR_ENV, value)
-            assert not columnar_env_enabled(), value
-
-    def test_constructor_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(COLUMNAR_ENV, "1")
+    def test_kernel_less_spec_skips_columns(self):
+        """No ``map_batch``: the record loop and the dict group-by, with
+        no round trip through columns in any phase."""
+        maponly = run_job(MapReduceSpec(name="t", map_record=_ident),
+                          _inp(), backend="fast")
+        assert "columnar_batches" not in maponly.map_stats.extra
         spec = MapReduceSpec(name="t", map_record=_ident,
                              reduce_record=_count)
-        scalar = run_job(spec, _inp(), strategy=ReduceStrategy.TR,
-                         backend=FastBackend(columnar=False))
-        env = run_job(spec, _inp(), strategy=ReduceStrategy.TR,
+        res = run_job(spec, _inp(), strategy=ReduceStrategy.TR,
                       backend="fast")
-        assert "columnar_batches" in env.map_stats.extra
-        assert "columnar_batches" not in scalar.map_stats.extra
-        assert env.output == scalar.output
+        assert "columnar_batches" not in res.map_stats.extra
+        assert "columnar_groups" not in res.reduce_stats.extra
 
-    def test_bad_batch_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(COLUMNAR_BATCH_ENV, "zero")
-        with pytest.raises(FrameworkError):
-            run_job(MapReduceSpec(name="t", map_record=_ident), _inp(4),
-                    backend=FastBackend(columnar=True))
-        monkeypatch.setenv(COLUMNAR_BATCH_ENV, "0")
-        with pytest.raises(FrameworkError):
-            run_job(MapReduceSpec(name="t", map_record=_ident), _inp(4),
-                    backend=FastBackend(columnar=True))
+    def test_plain_fast_runs_wordcount_kernels(self):
+        wl = WordCount()
+        inp = wl.generate("small", seed=1, scale=0.2)
+        res = run_job(wl.spec(), inp, strategy=ReduceStrategy.TR,
+                      backend="fast")
+        extra = res.map_stats.extra
+        assert extra["columnar_batches"] >= 1
+        assert extra["columnar_map_vectorized"] == extra["columnar_batches"]
+        assert res.reduce_stats.extra["columnar_reduce_vectorized"] == 1
 
-    def test_batch_width_env_splits_batches(self, monkeypatch):
-        monkeypatch.setenv(COLUMNAR_BATCH_ENV, "16")
+    def test_batch_width_splits_batches(self, monkeypatch):
+        monkeypatch.setattr(BATCH_RECORDS, 16)
         spec = MapReduceSpec(name="t", map_record=_ident,
-                             reduce_record=_count)
+                             reduce_record=_count, map_batch=_decline)
         res = run_job(spec, _inp(100), strategy=ReduceStrategy.TR,
-                      backend=FastBackend(columnar=True))
+                      backend="fast")
         assert res.map_stats.extra["columnar_batches"] == 7  # ceil(100/16)
-        scalar = run_job(spec, _inp(100), strategy=ReduceStrategy.TR,
-                         backend="fast")
+        scalar = run_job(_scalar(spec), _inp(100),
+                         strategy=ReduceStrategy.TR, backend="fast")
         assert res.output == scalar.output
 
 
@@ -108,23 +114,23 @@ class TestBatchKernelContract:
                              reduce_record=_count, map_batch=map_batch)
         inp = _inp(200)
         col = run_job(spec, inp, strategy=ReduceStrategy.TR,
-                      backend=FastBackend(columnar=True))
-        scalar = run_job(spec, inp, strategy=ReduceStrategy.TR,
+                      backend="fast")
+        scalar = run_job(_scalar(spec), inp, strategy=ReduceStrategy.TR,
                          backend="fast")
         assert col.output == scalar.output
         assert col.map_stats.extra["columnar_map_vectorized"] >= 1
         assert col.reduce_stats.extra["columnar_reduce_vectorized"] == 0
 
     def test_reduce_batch_only_with_scalar_map(self):
-        """WordCount's Reduce kernel without its batch Map: the scalar
-        Map feeds ragged keys, Reduce runs the batch kernel over the
-        grouped columns."""
+        """WordCount's Reduce kernel behind a Map that declines every
+        batch: the record loop feeds ragged keys into columns, Reduce
+        runs the batch kernel over the grouped columns."""
         wl = WordCount()
         inp = wl.generate("small", seed=2, scale=0.2)
-        spec = dataclasses.replace(wl.spec(), map_batch=None)
+        spec = dataclasses.replace(wl.spec(), map_batch=_decline)
         col = run_job(spec, inp, strategy=ReduceStrategy.TR,
-                      backend=FastBackend(columnar=True))
-        scalar = run_job(spec, inp, strategy=ReduceStrategy.TR,
+                      backend="fast")
+        scalar = run_job(_scalar(spec), inp, strategy=ReduceStrategy.TR,
                          backend="fast")
         assert col.output == scalar.output
         assert col.map_stats.extra["columnar_map_vectorized"] == 0
@@ -132,7 +138,7 @@ class TestBatchKernelContract:
         assert col.reduce_stats.extra["columnar_reduce_vectorized"] == 1
 
     def test_declining_map_batch_falls_back_per_batch(self, monkeypatch):
-        monkeypatch.setenv(COLUMNAR_BATCH_ENV, "10")
+        monkeypatch.setattr(BATCH_RECORDS, 10)
         calls = []
 
         def map_batch(cols, *, const=None):
@@ -145,8 +151,8 @@ class TestBatchKernelContract:
                              reduce_record=_count, map_batch=map_batch)
         inp = _inp(40)
         col = run_job(spec, inp, strategy=ReduceStrategy.TR,
-                      backend=FastBackend(columnar=True))
-        scalar = run_job(spec, inp, strategy=ReduceStrategy.TR,
+                      backend="fast")
+        scalar = run_job(_scalar(spec), inp, strategy=ReduceStrategy.TR,
                          backend="fast")
         assert col.output == scalar.output
         assert col.map_stats.extra["columnar_map_vectorized"] == 2
@@ -157,12 +163,12 @@ class TestBatchKernelContract:
             return None
 
         spec = MapReduceSpec(name="rdecline", map_record=_ident,
-                             reduce_record=_count,
+                             reduce_record=_count, map_batch=_decline,
                              reduce_batch=reduce_batch)
         col = run_job(spec, _inp(50), strategy=ReduceStrategy.TR,
-                      backend=FastBackend(columnar=True))
-        scalar = run_job(spec, _inp(50), strategy=ReduceStrategy.TR,
-                         backend="fast")
+                      backend="fast")
+        scalar = run_job(_scalar(spec), _inp(50),
+                         strategy=ReduceStrategy.TR, backend="fast")
         assert col.output == scalar.output
         assert col.reduce_stats.extra["columnar_reduce_vectorized"] == 0
 
@@ -170,16 +176,17 @@ class TestBatchKernelContract:
         spec = MapReduceSpec(name="bad", map_record=_ident,
                              map_batch=lambda cols, *, const=None: [1, 2])
         with pytest.raises(FrameworkError, match="map_batch"):
-            run_job(spec, _inp(4), backend=FastBackend(columnar=True))
+            run_job(spec, _inp(4), backend="fast")
 
     def test_bad_reduce_batch_return_type_rejected(self):
         spec = MapReduceSpec(
             name="bad", map_record=_ident, reduce_record=_count,
+            map_batch=_decline,
             reduce_batch=lambda k, o, v, *, const=None: "nope",
         )
         with pytest.raises(FrameworkError, match="reduce_batch"):
             run_job(spec, _inp(4), strategy=ReduceStrategy.TR,
-                    backend=FastBackend(columnar=True))
+                    backend="fast")
 
     def test_reduce_batch_not_used_for_br(self):
         """BR folds stay scalar by contract even when a batch Reduce
@@ -187,9 +194,9 @@ class TestBatchKernelContract:
         wl = Histogram()
         inp = wl.generate("small", seed=1, scale=0.2)
         col = run_job(wl.spec(), inp, strategy=ReduceStrategy.BR,
-                      backend=FastBackend(columnar=True))
-        scalar = run_job(wl.spec(), inp, strategy=ReduceStrategy.BR,
-                         backend="fast")
+                      backend="fast")
+        scalar = run_job(_scalar(wl.spec()), inp,
+                         strategy=ReduceStrategy.BR, backend="fast")
         assert col.output == scalar.output
         assert col.reduce_stats.extra["columnar_reduce_vectorized"] == 0
 
@@ -230,13 +237,13 @@ class TestWordCountBatchMap:
         assert out.values.tolist() == want_vals
 
     def test_batch_boundaries_mid_input(self, monkeypatch):
-        monkeypatch.setenv(COLUMNAR_BATCH_ENV, "7")
+        monkeypatch.setattr(BATCH_RECORDS, 7)
         wl = WordCount()
         inp = wl.generate("small", seed=3, scale=0.2)
         col = run_job(wl.spec(), inp, strategy=ReduceStrategy.TR,
-                      backend=FastBackend(columnar=True))
-        scalar = run_job(wl.spec(), inp, strategy=ReduceStrategy.TR,
-                         backend="fast")
+                      backend="fast")
+        scalar = run_job(_scalar(wl.spec()), inp,
+                         strategy=ReduceStrategy.TR, backend="fast")
         assert col.output == scalar.output
         assert col.map_stats.extra["columnar_batches"] == -(-len(inp) // 7)
 
@@ -244,7 +251,7 @@ class TestWordCountBatchMap:
         wl = WordCount()
         inp = wl.generate("medium", seed=0)
         res = run_job(wl.spec(), inp, strategy=ReduceStrategy.TR,
-                      backend=FastBackend(columnar=True))
+                      backend="fast")
         extra = res.map_stats.extra
         assert extra["columnar_map_fallback"] == 0
         assert extra["columnar_map_vectorized"] == extra["columnar_batches"]
@@ -253,18 +260,21 @@ class TestWordCountBatchMap:
 
 class TestJobShapes:
     def test_map_only_job(self):
-        spec = MapReduceSpec(name="maponly", map_record=_ident)
-        col = run_job(spec, _inp(60), backend=FastBackend(columnar=True))
-        scalar = run_job(spec, _inp(60), backend="fast")
+        spec = MapReduceSpec(name="maponly", map_record=_ident,
+                             map_batch=_decline)
+        col = run_job(spec, _inp(60), backend="fast")
+        scalar = run_job(_scalar(spec), _inp(60), backend="fast")
         assert col.output == scalar.output
+        assert col.map_stats.extra["columnar_map_fallback"] == 1
 
     def test_streamed_job_columnar_tail(self):
+        """Streamed batches keep the record loop even when the spec
+        ships kernels."""
         wl = WordCount()
         inp = wl.generate("small", seed=4, scale=0.2)
         col = run_streamed_job(wl.spec(), inp, n_batches=3,
-                               strategy=ReduceStrategy.TR,
-                               backend=FastBackend(columnar=True))
-        scalar = run_streamed_job(wl.spec(), inp, n_batches=3,
+                               strategy=ReduceStrategy.TR, backend="fast")
+        scalar = run_streamed_job(_scalar(wl.spec()), inp, n_batches=3,
                                   strategy=ReduceStrategy.TR,
                                   backend="fast")
         assert col.job.output == scalar.job.output
@@ -276,24 +286,41 @@ class TestJobShapes:
         inp = wl.generate("small", seed=6)
         spec = wl.spec_for_seed(6)
         col = run_mars_job(spec, inp, strategy=ReduceStrategy.TR,
-                           backend=FastBackend(columnar=True))
-        scalar = run_mars_job(spec, inp, strategy=ReduceStrategy.TR,
-                              backend="fast")
+                           backend="fast")
+        scalar = run_mars_job(_scalar(spec), inp,
+                              strategy=ReduceStrategy.TR, backend="fast")
         assert col.output == scalar.output
         assert col.reduce_stats.extra["columnar_reduce_vectorized"] == 1
 
-    def test_parallel_backend_stays_scalar(self, monkeypatch):
-        from repro.backend import ParallelBackend
-
-        monkeypatch.setenv(COLUMNAR_ENV, "1")
+    def test_parallel_backend_stays_scalar(self):
+        """Sharded workers run the record loop: the merged Map output
+        is a record set, grouped by the dict shuffle."""
         wl = WordCount()
         inp = wl.generate("small", seed=5, scale=0.2)
         par = run_job(wl.spec(), inp, strategy=ReduceStrategy.TR,
                       backend=ParallelBackend(workers=2, min_records=0))
-        scalar = run_job(wl.spec(), inp, strategy=ReduceStrategy.TR,
-                         backend=FastBackend(columnar=False))
+        scalar = run_job(_scalar(wl.spec()), inp,
+                         strategy=ReduceStrategy.TR, backend="fast")
         assert par.output == scalar.output
         assert "columnar_batches" not in par.map_stats.extra
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: ParallelBackend(workers=2), id="parallel"),
+        pytest.param(lambda: DistributedBackend(workers=2), id="dist"),
+    ])
+    @pytest.mark.parametrize("strategy", [None, ReduceStrategy.TR])
+    def test_sharded_in_process_runs_kernels(self, make, strategy):
+        """Below ``min_records`` a sharded backend runs the job on its
+        inner fast backend, batch kernels and column handles included."""
+        wl = KMeans()
+        inp = wl.generate("small", seed=7)
+        spec = wl.spec_for_seed(7)
+        res = run_job(spec, inp, strategy=strategy, backend=make())
+        scalar = run_job(_scalar(spec), inp, strategy=strategy,
+                         backend="fast")
+        assert res.output == scalar.output
+        assert res.intermediate_count == scalar.intermediate_count
+        assert res.map_stats.extra["columnar_map_vectorized"] >= 1
 
 
 class TestLedgerColumns:
@@ -301,19 +328,17 @@ class TestLedgerColumns:
         import json
 
         monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path))
-        monkeypatch.setenv(COLUMNAR_ENV, "1")
         wl = KMeans()
         inp = wl.generate("small", seed=3)
-        run_job(wl.spec_for_seed(3), inp, strategy=ReduceStrategy.TR,
-                backend="fast")
+        spec = wl.spec_for_seed(3)
+        run_job(spec, inp, strategy=ReduceStrategy.TR, backend="fast")
         lines = (tmp_path / "runs.jsonl").read_text().splitlines()
         rec = json.loads(lines[-1])
         assert rec["columnar_batches"] >= 1
         assert rec["columnar_map_vectorized"] >= 1
         assert rec["columnar_reduce_vectorized"] == 1
-        # A scalar run leaves the columnar fields null.
-        monkeypatch.setenv(COLUMNAR_ENV, "0")
-        run_job(wl.spec_for_seed(3), inp, strategy=ReduceStrategy.TR,
+        # A record-loop run leaves the columnar fields null.
+        run_job(_scalar(spec), inp, strategy=ReduceStrategy.TR,
                 backend="fast")
         rec2 = json.loads(
             (tmp_path / "runs.jsonl").read_text().splitlines()[-1]

@@ -6,35 +6,41 @@ cycle-accurate simulator and to the CPU reference oracle (normalised
 ordering — atomic appends legitimately permute records; float32
 tolerance where summation order differs, exactly as the conformance
 matrix does).  The sharded parallel backend must match the fast
-backend *exactly* — same records, same order — except for float BR
-combines, where per-shard partial combining regroups the fold and the
-usual float32 tolerance applies.
+backend's record loop *exactly* — same records, same order — except
+for float BR combines, where per-shard partial combining regroups the
+fold and the usual float32 tolerance applies.
 
 A fourth executor rides along: the fast backend with the spill store
 forced down to a tiny budget, so every case's shuffle goes through
 sorted runs and the k-way merge.  Its contract is the strictest —
 byte-identical to the memory-store fast run, records *and* order.
 
-A fifth executor is the columnar fast backend
-(``FastBackend(columnar=True)``): batched array Map/Shuffle/Reduce
-with each workload's ``map_batch``/``reduce_batch`` kernels and
-per-batch scalar fallback everywhere else.  Non-float workloads must
-be byte-identical to the scalar fast run (records *and* order); the
-float workloads (KM, SS, LR) match under the usual float32 tolerance.
+The fast backend runs a workload's ``map_batch``/``reduce_batch``
+kernels whenever its spec ships them.  The fifth and sixth executors
+keep the record loop reachable: the same spec with its kernels
+stripped (``dataclasses.replace(spec, map_batch=None,
+reduce_batch=None)``) on the fast backend, on the memory and the
+spill store.  Non-float workloads must be byte-identical between the
+two paths (records *and* order); the float workloads (KM, SS, LR)
+match under the usual float32 tolerance.  Every sharded executor
+runs the record loop in its workers, so it is held to the stripped
+spec's run.
 
 The seventh and eighth executors are the distributed backend
 (``dist:2`` — coordinator + socket workers, GFS-style splits forced
 small so every case really schedules multiple tasks) and ``dist:2``
 with the spill store at the same tiny budget.  Dist ships plain pairs
 (no partial combine), so its contract is the strictest of all the
-multi-process executors: byte-identical to the fast backend for
-*every* workload, float BR folds included.
+multi-process executors: byte-identical to the fast backend's record
+loop for *every* workload, float BR folds included.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.analysis.validation import outputs_match
-from repro.backend import DistributedBackend, FastBackend, ParallelBackend
+from repro.backend import DistributedBackend, ParallelBackend
 from repro.cpu_ref import reference_job
 from repro.framework import MemoryMode, ReduceStrategy, run_job
 from repro.gpu import DeviceConfig
@@ -68,6 +74,15 @@ def _float_vals(code: str) -> bool:
     return code in ("KM", "SS", "LR")
 
 
+def _scalar(spec):
+    """The same spec with its batch kernels stripped: the record loop."""
+    return replace(spec, map_batch=None, reduce_batch=None)
+
+
+def _decline(cols, *, const=None):
+    return None  # every batch takes the record-loop fallback
+
+
 def _cases():
     for w in WORKLOADS:
         strategies = [None]
@@ -93,6 +108,7 @@ def test_fast_matches_sim_and_oracle(workload, mode, strategy):
                   threads_per_block=64)
     sim = run_job(spec, inp, backend="sim", **kwargs)
     fast = run_job(spec, inp, backend="fast", **kwargs)
+    scalar = run_job(_scalar(spec), inp, backend="fast", **kwargs)
     par = run_job(spec, inp, backend=ParallelBackend(workers=2,
                                                     min_records=0),
                   **kwargs)
@@ -108,57 +124,58 @@ def test_fast_matches_sim_and_oracle(workload, mode, strategy):
     assert fast.intermediate_count == sim.intermediate_count
     assert len(fast.output) == len(sim.output)
 
-    # Parallel: byte-identical to fast, except float BR partial
-    # combines (fold regrouping) which match under float32 tolerance.
-    if fv and strategy is ReduceStrategy.BR:
-        assert outputs_match(par.output, fast.output, float32_values=True)
+    # Batch kernels vs the record loop: byte-identical for integer
+    # workloads, float32 tolerance for the float ones (the kernels
+    # preserve scalar accumulation order, so in practice they are
+    # bit-equal).
+    if fv:
+        assert outputs_match(fast.output, scalar.output,
+                             float32_values=True)
     else:
-        assert par.output == fast.output
+        assert fast.output == scalar.output
+    assert fast.intermediate_count == scalar.intermediate_count
+    assert fast.mode == scalar.mode and fast.strategy == scalar.strategy
+
+    # Parallel: byte-identical to the record loop, except float BR
+    # partial combines (fold regrouping) which match under float32
+    # tolerance.
+    if fv and strategy is ReduceStrategy.BR:
+        assert outputs_match(par.output, scalar.output,
+                             float32_values=True)
+    else:
+        assert par.output == scalar.output
     assert par.intermediate_count == fast.intermediate_count
     assert par.mode == fast.mode and par.strategy == fast.strategy
 
-    # Spill store under a tiny budget: same backend, different
-    # intermediate policy — must be byte-identical, no tolerance.
+    # Spill store under a tiny budget: same backend and spec, different
+    # intermediate policy — must be byte-identical, no tolerance, on
+    # both paths (column batches or records routed through sorted runs).
     spill = run_job(spec, inp, backend="fast", store="spill",
                     memory_budget=SPILL_BUDGET, **kwargs)
     assert spill.output == fast.output
     assert spill.intermediate_count == fast.intermediate_count
+    scalar_spill = run_job(_scalar(spec), inp, backend="fast",
+                           store="spill", memory_budget=SPILL_BUDGET,
+                           **kwargs)
+    assert scalar_spill.output == scalar.output
     if strategy is not None:
         assert spill.reduce_stats.extra.get("spill_runs", 0) > 0
-
-    # Columnar fast backend: byte-identical for integer workloads,
-    # float32 tolerance for the float ones (the batch kernels preserve
-    # scalar accumulation order, so in practice they are bit-equal).
-    col = run_job(spec, inp, backend=FastBackend(columnar=True), **kwargs)
-    if fv:
-        assert outputs_match(col.output, fast.output, float32_values=True)
-    else:
-        assert col.output == fast.output
-    assert col.intermediate_count == fast.intermediate_count
-    assert col.mode == fast.mode and col.strategy == fast.strategy
-
-    # Columnar + spill: the array shuffle routed through sorted runs
-    # must reproduce the columnar memory-store run byte for byte.
-    col_spill = run_job(spec, inp, backend=FastBackend(columnar=True),
-                        store="spill", memory_budget=SPILL_BUDGET, **kwargs)
-    assert col_spill.output == col.output
-    if strategy is not None:
-        assert col_spill.reduce_stats.extra.get("spill_runs", 0) > 0
+        assert scalar_spill.reduce_stats.extra.get("spill_runs", 0) > 0
 
     # Distributed backend: plain pairs over the wire, first-result-wins
-    # dedupe — byte-identical to fast for every workload, no float
-    # tolerance anywhere.
+    # dedupe — byte-identical to the record loop for every workload, no
+    # float tolerance anywhere.
     dist = run_job(spec, inp, backend=_dist_backend(), **kwargs)
-    assert dist.output == fast.output
+    assert dist.output == scalar.output
     assert dist.intermediate_count == fast.intermediate_count
     assert dist.mode == fast.mode and dist.strategy == fast.strategy
 
     # Distributed + spill: worker-side run files merged coordinator-side
-    # must reproduce the fast spill run byte for byte.
+    # must reproduce the record loop's spill run byte for byte.
     dist_spill = run_job(spec, inp, backend=_dist_backend(),
                          store="spill", memory_budget=SPILL_BUDGET,
                          **kwargs)
-    assert dist_spill.output == fast.output
+    assert dist_spill.output == scalar_spill.output
     if strategy is not None:
         assert dist_spill.reduce_stats.extra.get("spill_runs", 0) > 0
 
@@ -192,11 +209,12 @@ class TestDegenerateInputs:
                                                     min_records=0),
                             store="spill", memory_budget=64, **kwargs)
         assert par_spill.output == fast.output
-        col = run_job(spec, inp, backend=FastBackend(columnar=True),
-                      **kwargs)
+        batched = replace(spec, map_batch=_decline)
+        col = run_job(batched, inp, backend="fast", **kwargs)
         assert col.output == fast.output
-        col_spill = run_job(spec, inp, backend=FastBackend(columnar=True),
-                            store="spill", memory_budget=64, **kwargs)
+        assert "columnar_batches" in col.map_stats.extra
+        col_spill = run_job(batched, inp, backend="fast", store="spill",
+                            memory_budget=64, **kwargs)
         assert col_spill.output == fast.output
         dist = run_job(spec, inp, backend=_dist_backend(), **kwargs)
         assert dist.output == fast.output

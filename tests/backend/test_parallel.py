@@ -406,6 +406,35 @@ class TestLifecycle:
             assert len(res.output) > 0
 
 
+class TestLazyTasks:
+    def test_pool_pulls_lazy_tasks_a_window_ahead(self):
+        """A lazy task source (the spilled Reduce's group chunks) is
+        pulled at most ``window`` items ahead of the consumed results;
+        ``Pool.imap`` would drain all of it at once."""
+        import multiprocessing
+
+        from repro.backend.parallel import windowed_map
+
+        pulled = 0
+
+        def items():
+            nonlocal pulled
+            for i in range(200):
+                pulled += 1
+                yield -i
+
+        window = 4  # 2 x workers, as ParallelBackend uses
+        ahead = []
+        out = []
+        with multiprocessing.get_context("fork").Pool(2) as pool:
+            for r in windowed_map(pool, abs, items(), window):
+                out.append(r)
+                ahead.append(pulled - len(out))
+        assert out == list(range(200))
+        assert max(ahead) <= window
+        assert ahead[0] <= window
+
+
 # ----------------------------------------------------------------------
 # shard_slices (unit; the property suite fuzzes it)
 # ----------------------------------------------------------------------

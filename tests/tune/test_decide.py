@@ -101,7 +101,7 @@ class TestExecution:
         decision = decide_execution(spec, inp, config=CFG,
                                     calibration=FRESH, cpu_count=4)
         assert decision.objective == "wall"
-        assert decision.backend in ("fast", "parallel", "columnar")
+        assert decision.backend in ("fast", "parallel")
         assert isinstance(decision.mode, MemoryMode)
         assert decision.summary()["choice"] == decision.choice
 
@@ -112,6 +112,77 @@ class TestExecution:
                                     memory_ceiling=1024)
         assert decision.store == "spill"
         assert decision.memory_budget == 1024
+
+
+#: ``decide_execution``'s pick (backend, workers, store) at
+#: ``cpu_count=2`` on a fresh calibration, for the eight workloads at
+#: small size (seed 0) and the two bulk benchmark inputs.  KM, HG, LR
+#: and kmeans-bulk pick ``fast`` on its batch-kernel price (they ship
+#: ``map_batch`` and have fixed-width keys); the rest on its
+#: record-loop price, except wordcount-bulk, big enough for the pool.
+EXECUTION_PICKS = {
+    "WC": ("fast", None, None),
+    "MM": ("fast", None, None),
+    "SM": ("fast", None, None),
+    "II": ("fast", None, None),
+    "KM": ("fast", None, None),
+    "SS": ("fast", None, None),
+    "HG": ("fast", None, None),
+    "LR": ("fast", None, None),
+    "wordcount-bulk": ("parallel", 2, None),
+    "kmeans-bulk": ("fast", None, None),
+}
+
+
+def _bulk_input(name):
+    """The benchmark's bulk inputs at seed 0 (perfbench/workloads.json):
+    WordCount is 25 medium chunks with derived seeds, KMeans one medium
+    input at scale 10."""
+    import numpy as np
+
+    from repro.framework.records import KeyValueSet
+    from repro.workloads import KMeans, WordCount
+
+    if name == "kmeans-bulk":
+        w = KMeans()
+        return (w.spec_for_size("medium", seed=0, scale=10),
+                w.generate("medium", seed=0, scale=10), ReduceStrategy.BR)
+    w = WordCount()
+    seeds = [int(np.random.SeedSequence([0, i]).generate_state(1)[0]
+                 & 0x7FFFFFFF) for i in range(25)]
+    inp = KeyValueSet()
+    for s in seeds:
+        for k, v in w.generate("medium", seed=s, scale=1):
+            inp.append_unchecked(k, v)
+    return (w.spec_for_size("medium", seed=seeds[0], scale=1), inp,
+            ReduceStrategy.TR)
+
+
+class TestExecutionPicks:
+    @pytest.mark.parametrize("code", ["WC", "MM", "SM", "II", "KM", "SS",
+                                      "HG", "LR"])
+    def test_small_workloads(self, code):
+        from repro.workloads import ALL_WORKLOADS, EXTRA_WORKLOADS
+
+        w = next(cls() for cls in (*ALL_WORKLOADS, *EXTRA_WORKLOADS)
+                 if cls.code == code)
+        strategy = ReduceStrategy.TR if w.has_reduce else None
+        d = decide_execution(w.spec_for_size("small", seed=0),
+                             w.generate("small", seed=0),
+                             strategy=strategy, cpu_count=2,
+                             calibration=FRESH)
+        assert (d.backend, d.workers, d.store) == EXECUTION_PICKS[code]
+
+    @pytest.mark.parametrize("name", [
+        "kmeans-bulk",
+        # ~15 s to generate ~10^5 WordCount lines: slow tier only.
+        pytest.param("wordcount-bulk", marks=pytest.mark.slow),
+    ])
+    def test_bulk_inputs(self, name):
+        spec, inp, strategy = _bulk_input(name)
+        d = decide_execution(spec, inp, strategy=strategy, cpu_count=2,
+                             calibration=FRESH)
+        assert (d.backend, d.workers, d.store) == EXECUTION_PICKS[name]
 
 
 class TestHistoryOverride:
